@@ -1,5 +1,8 @@
 """The five node-centrality measures and their ranking/serialization helpers.
 
+Every hop-distance consumer (betweenness, closeness, harmonic, and the path
+metrics in `metrics`) runs its BFS through `graph.shortest_paths`.
+
 Conventions (all for undirected unweighted traversal):
     degree       raw deg(v); normalized deg(v)/(N-1)
     betweenness  Brandes accumulation over unordered pairs; normalized by
@@ -17,11 +20,10 @@ import csv
 import io
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegenerateGraphError
-from .graph import Graph, bfs_distances, canonical_label
+from .graph import Graph, canonical_label, shortest_paths
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +59,7 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
     n = g.node_count
     scores = [0.0] * n
     for s in range(n):
-        order, preds, sigma = _shortest_path_dag(g, s)
+        order, _, sigma, preds = shortest_paths(g.neighbor_ids, s)
         delta = [0.0] * n
         while order:
             w = order.pop()
@@ -74,43 +76,19 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
     return CentralityVector("betweenness", tuple(scores), normalized)
 
 
-def _shortest_path_dag(g: Graph, s: int):
-    """BFS from s returning visitation order, predecessor lists, path counts."""
-    n = g.node_count
-    dist = [-1] * n
-    sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    dist[s] = 0
-    sigma[s] = 1
-    order: list[int] = []
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v, _ in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-            if dist[v] == dist[u] + 1:
-                sigma[v] += sigma[u]
-                preds[v].append(u)
-    return order, preds, sigma
-
-
 def closeness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
     n = g.node_count
     scores = []
     for v in range(n):
-        dist = bfs_distances(g, v)
-        finite = [d for u, d in enumerate(dist) if u != v and d < INF]
-        total = sum(finite)
+        order, dist, _, _ = shortest_paths(g.neighbor_ids, v)
+        total = sum(dist[u] for u in order)
         if total == 0:
             if g.degree(v) == 0:
                 logger.warning("closeness of isolated node %d reported as 0", v)
             scores.append(0.0)
             continue
         if normalized:
-            reach = len(finite)
+            reach = len(order) - 1
             scores.append((reach / total) * (reach / (n - 1)))
         else:
             scores.append(1 / total)
@@ -121,10 +99,17 @@ def harmonic_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
     n = g.node_count
     scores = []
     for v in range(n):
-        dist = bfs_distances(g, v)
-        total = sum(1 / d for u, d in enumerate(dist) if u != v and d < INF)
+        dist = shortest_paths(g.neighbor_ids, v)[1]
+        # summed in node-id order, not visit order: the float sum order fixes report bytes
+        total = sum(1 / d for d in dist if 0 < d < INF)
         scores.append(total / (n - 1) if normalized and n > 1 else total)
     return CentralityVector("harmonic", tuple(scores), normalized)
+
+
+def check_damping(damping: float) -> None:
+    """Reject a damping factor outside the open interval (0, 1)."""
+    if not 0 < damping < 1:
+        raise ValueError(f"damping must lie in (0, 1), got {damping}")
 
 
 def pagerank(
@@ -140,8 +125,7 @@ def pagerank(
     to 1; isolated nodes redistribute their mass uniformly. The raw form
     (constant (1-d) term, summing to N) is the same vector scaled by N.
     """
-    if not 0 < damping < 1:
-        raise ValueError(f"damping must lie in (0, 1), got {damping}")
+    check_damping(damping)
     final = None
     for ranks in _pagerank_sweeps(g, damping, max_iter):
         final = ranks

@@ -9,12 +9,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .centrality import all_centralities, centrality_table_csv
+from .centrality import all_centralities, centrality_table_csv, check_damping
 from .community import girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
 from .errors import CommGraphError
 from .ingest import edges_to_csv, load_dataset
 from .report import EXPORT_FORMATS, export_graph, report_to_json, run_pipeline
-from .synth import GENERATOR_KINDS, GeneratorSpec
+from .synth import GENERATOR_KINDS, gen_planted_partition, gen_ring_of_cliques
 
 
 def _add_input_args(parser):
@@ -106,16 +106,10 @@ def _cmd_analyze(args) -> None:
 def _cmd_synth(args) -> None:
     if args.kind == "ring_of_cliques":
         _require(args, ["cliques", "clique-size"])
-        params = {"cliques": args.cliques, "clique_size": args.clique_size}
+        g, truth = gen_ring_of_cliques(args.cliques, args.clique_size)
     else:
         _require(args, ["blocks", "block-size", "p-in", "p-out"])
-        params = {
-            "blocks": args.blocks,
-            "block_size": args.block_size,
-            "p_in": args.p_in,
-            "p_out": args.p_out,
-        }
-    g, truth = GeneratorSpec(args.kind, params, args.seed).generate()
+        g, truth = gen_planted_partition(args.blocks, args.block_size, args.p_in, args.p_out, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "edges.csv").write_text(edges_to_csv(g), encoding="utf-8")
@@ -134,6 +128,7 @@ def _cmd_export(args) -> None:
 
 
 def _cmd_centrality(args) -> None:
+    check_damping(args.damping)
     g, _ = load_dataset(args.edges, args.nodes, args.aliases)
     g = g.unweighted()
     _write_or_print(centrality_table_csv(g, all_centralities(g, damping=args.damping)), args.out)

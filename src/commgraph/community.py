@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import PartitionMismatchError, UndefinedModularityError
-from .graph import Graph, Partition
+from .graph import Graph, Partition, components, shortest_paths
 
 _GAIN_EPS = 1e-7  # level-to-level modularity improvement below this stops Louvain
 
@@ -164,7 +163,7 @@ def louvain(g: Graph) -> Dendrogram:
     m = agg.total_weight()
     if m <= 0:
         raise UndefinedModularityError("modularity is undefined with zero total edge weight")
-    original = AggregateGraph.from_graph(g)
+    original = agg
     node_map = list(range(g.node_count))  # original node -> current super-node
 
     levels: list[Partition] = []
@@ -187,11 +186,10 @@ def louvain(g: Graph) -> Dendrogram:
 
 def edge_betweenness(g: Graph) -> dict[tuple[int, int], float]:
     """Per-edge shortest-path betweenness over unordered node pairs."""
-    adjacency = [[u for u, _ in nbrs] for nbrs in g.adjacency]
-    return _edge_betweenness(adjacency)
+    return _edge_betweenness(g.neighbor_ids)
 
 
-def _edge_betweenness(adjacency: list[list[int]]) -> dict[tuple[int, int], float]:
+def _edge_betweenness(adjacency) -> dict[tuple[int, int], float]:
     n = len(adjacency)
     scores: dict[tuple[int, int], float] = {}
     for u in range(n):
@@ -199,23 +197,7 @@ def _edge_betweenness(adjacency: list[list[int]]) -> dict[tuple[int, int], float
             if u < v:
                 scores[(u, v)] = 0.0
     for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
+        order, _, sigma, preds = shortest_paths(adjacency, s)
         delta = [0.0] * n
         while order:
             w = order.pop()
@@ -226,25 +208,6 @@ def _edge_betweenness(adjacency: list[list[int]]) -> dict[tuple[int, int], float
                 scores[key] += contribution
                 delta[v] += contribution
     return {e: x / 2 for e, x in scores.items()}
-
-
-def _components(adjacency: list[list[int]]) -> Partition:
-    n = len(adjacency)
-    label = [-1] * n
-    current = 0
-    for start in range(n):
-        if label[start] != -1:
-            continue
-        label[start] = current
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if label[v] == -1:
-                    label[v] = current
-                    queue.append(v)
-        current += 1
-    return Partition(tuple(label), current)
 
 
 @dataclass(frozen=True)
@@ -266,9 +229,9 @@ def girvan_newman(g: Graph) -> GNTrace:
     if g.edge_count == 0:
         raise UndefinedModularityError("modularity is undefined with zero total edge weight")
     original = AggregateGraph.from_graph(g)
-    adjacency = [[u for u, _ in nbrs] for nbrs in g.adjacency]
+    adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
 
-    best_partition = _components(adjacency)
+    best_partition = components(adjacency)
     best_q = _modularity_kernel(original, best_partition.assignment)
     removals: list[tuple[tuple[int, int], float]] = []
     edges_left = g.edge_count
@@ -279,7 +242,7 @@ def girvan_newman(g: Graph) -> GNTrace:
         adjacency[u].remove(v)
         adjacency[v].remove(u)
         edges_left -= 1
-        part = _components(adjacency)
+        part = components(adjacency)
         q = _modularity_kernel(original, part.assignment)
         removals.append((target, q))
         if q > best_q:

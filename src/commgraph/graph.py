@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -80,8 +81,13 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
+    @functools.cached_property
+    def neighbor_ids(self) -> tuple[tuple[int, ...], ...]:
+        """Weight-free adjacency: `neighbor_ids[u]` lists u's neighbors by ascending id."""
+        return tuple(tuple(n for n, _ in nbrs) for nbrs in self.adjacency)
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.adjacency[v])
+        return self.neighbor_ids[v]
 
     def edges(self):
         """Yield (u, v, weight) with u < v, ascending."""
@@ -189,36 +195,57 @@ def build_graph(records, edges) -> tuple[Graph, BuildCounts]:
     return Graph(records, adjacency, len(weights)), counts
 
 
+def shortest_paths(adjacency, source: int) -> tuple[list[int], list[float], list[int], list[list[int]]]:
+    """Single-source BFS over int neighbor lists: the one hop-distance kernel.
+
+    Returns (order, dist, sigma, preds) as Brandes (2001) uses them: nodes in
+    visit order, hop distances (math.inf when unreachable), shortest-path
+    counts, and each node's shortest-path predecessors in discovery order.
+    """
+    n = len(adjacency)
+    dist = [INF] * n
+    sigma = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    dist[source] = 0
+    sigma[source] = 1
+    order: list[int] = []
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        step = dist[u] + 1
+        paths = sigma[u]
+        for v in adjacency[u]:
+            if not sigma[v]:  # unvisited; an int test is cheaper than dist[v] == INF
+                dist[v] = step
+                sigma[v] = paths
+                preds[v].append(u)
+                queue.append(v)
+            elif dist[v] == step:
+                sigma[v] += paths
+                preds[v].append(u)
+    return order, dist, sigma, preds
+
+
 def bfs_distances(g: Graph, source: int) -> list[float]:
     """Hop distances from `source`; unreachable nodes get math.inf."""
     if not 0 <= source < g.node_count:
         raise IndexError(f"source {source} out of range for {g.node_count} nodes")
-    dist = [INF] * g.node_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, _ in g.adjacency[u]:
-            if dist[v] == INF:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    return shortest_paths(g.neighbor_ids, source)[1]
+
+
+def components(adjacency) -> Partition:
+    """Component labeling of int neighbor lists, ordered by smallest member."""
+    label = [-1] * len(adjacency)
+    current = 0
+    for start in range(len(adjacency)):
+        if label[start] == -1:
+            for v in shortest_paths(adjacency, start)[0]:
+                label[v] = current
+            current += 1
+    return Partition(tuple(label), current)
 
 
 def connected_components(g: Graph) -> Partition:
     """Component labeling; labels contiguous from 0 ordered by smallest member."""
-    label = [-1] * g.node_count
-    current = 0
-    for start in range(g.node_count):
-        if label[start] != -1:
-            continue
-        label[start] = current
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in g.adjacency[u]:
-                if label[v] == -1:
-                    label[v] = current
-                    queue.append(v)
-        current += 1
-    return Partition(tuple(label), current)
+    return components(g.neighbor_ids)

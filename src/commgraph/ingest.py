@@ -1,6 +1,7 @@
 """CSV ingestion: parse, validate, and clean collaboration data into a Graph.
 
-File formats (all comma-separated, RFC-4180 quoting, UTF-8):
+File formats (all comma-separated, RFC-4180 quoting, UTF-8 with or without a
+byte-order mark):
     edge CSV   header `source,target` or `source,target,weight`
     node CSV   header with `label` plus any of `kind`, `location`, `score`
     alias CSV  header `variant,canonical`
@@ -55,19 +56,20 @@ class CleaningLog:
 def _read_rows(path) -> list[tuple[int, list[str], str | None]]:
     """Decode a CSV file into (row_no, fields, decode_error) tuples.
 
-    Row numbers are logical CSV rows (header = 1). On a clean UTF-8 file the
+    Row numbers are logical CSV rows (header = 1). A leading UTF-8 byte-order
+    mark, as spreadsheet programs write, is dropped. On a clean UTF-8 file the
     csv module handles quoted fields including embedded newlines; if the file
     is not valid UTF-8 we fall back to per-line decoding so that only the
     offending lines are rejected.
     """
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError:
         rows = []
         for i, line in enumerate(raw.splitlines(), start=1):
             try:
-                decoded = line.decode("utf-8")
+                decoded = line.decode("utf-8-sig" if i == 1 else "utf-8")
             except UnicodeDecodeError:
                 rows.append((i, [], "invalid UTF-8"))
                 continue

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import EmptyGraphError
-from .graph import Graph, bfs_distances, connected_components
-
-INF = math.inf
+from .graph import Graph, connected_components, shortest_paths
 
 
 @dataclass(frozen=True)
@@ -55,14 +52,12 @@ def global_metrics(g: Graph) -> MetricsReport:
     pair_count = 0
     longest = 0
     for source in range(n):
-        dist = bfs_distances(g, source)
-        for target in range(source + 1, n):
-            d = dist[target]
-            if d < INF:
-                dist_sum += int(d)
+        order, dist, _, _ = shortest_paths(g.neighbor_ids, source)
+        longest = max(longest, dist[order[-1]])  # BFS visits the farthest node last
+        for target in order:
+            if target > source:
+                dist_sum += dist[target]
                 pair_count += 1
-                if d > longest:
-                    longest = int(d)
 
     clustering_sum = sum(local_clustering(g, v) for v in range(n))
     components = connected_components(g)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, rank_top_k
+from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, check_damping, rank_top_k
 from .community import GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
 from .graph import Graph, NodeRecord, Partition, build_graph
 from .ingest import CleaningLog, load_dataset
@@ -254,12 +254,16 @@ def run_pipeline(
 
     Metrics and centralities always use the unweighted skeleton with hop
     distances; `weighted` opts community detection into the collapsed
-    collaboration weights. Every artifact is computed before the first file
-    is written, so failures leave no partial outputs.
+    collaboration weights. Flags are checked before the input is read, and
+    every artifact is computed before the first file is written, so failures
+    leave no partial outputs.
     """
     for fmt in exports:
         if fmt not in EXPORT_FORMATS:
             raise ValueError(f"unknown export format {fmt!r}")
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
+    check_damping(damping)
 
     loaded, cleaning = load_dataset(edge_path, node_path, alias_path)
     skeleton = loaded.unweighted()

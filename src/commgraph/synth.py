@@ -1,14 +1,13 @@
 """Deterministic synthetic graphs with ground-truth communities.
 
 All randomness comes from `random.Random(seed)` (Mersenne Twister) through
-`random()` calls only, drawn in a fixed pair order, so a given spec yields
-byte-identical edge lists on every platform and Python version.
+`random()` calls only, drawn in a fixed pair order, so the same parameters
+yield byte-identical edge lists on every platform and Python version.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .graph import Graph, NodeRecord, Partition, build_graph
 
@@ -73,24 +72,3 @@ def gen_planted_partition(
     truth = Partition.from_assignment([v // block_size for v in range(n)])
     return g, truth
 
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """CLI-facing description of one synthetic graph."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def generate(self) -> tuple[Graph, Partition]:
-        if self.kind == "ring_of_cliques":
-            return gen_ring_of_cliques(self.params["cliques"], self.params["clique_size"])
-        if self.kind == "planted_partition":
-            return gen_planted_partition(
-                self.params["blocks"],
-                self.params["block_size"],
-                self.params["p_in"],
-                self.params["p_out"],
-                self.seed,
-            )
-        raise ValueError(f"unknown generator kind {self.kind!r}")

@@ -30,6 +30,16 @@ def test_synth_emits_edge_and_partition_csv(ring_dir):
     assert len(partition.strip().split("\n")) == 21
 
 
+def test_centrality_bad_damping_exits_one_before_reading_input(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr("commgraph.cli.load_dataset", fail)
+    rc = main(["centrality", "--edges", str(SAMPLE / "edges.csv"), "--damping", "1.5"])
+    assert rc == 1
+    assert "damping" in capsys.readouterr().err
+
+
 def test_synth_missing_params_exits_one(tmp_path, capsys):
     rc = main(["synth", "--kind", "ring_of_cliques", "--out", str(tmp_path)])
     assert rc == 1
@@ -67,6 +77,14 @@ def test_analyze_sample_matches_committed_golden(tmp_path):
     rc = main(["analyze", "--edges", str(SAMPLE / "edges.csv"), "--out", str(out)])
     assert rc == 0
     assert (out / "report.json").read_bytes() == (SAMPLE / "report.json").read_bytes()
+
+
+def test_validate_gn_sample_matches_committed_trace(tmp_path):
+    # gn_trace.csv pins the Girvan-Newman removal order, ties included
+    out = tmp_path / "gn"
+    rc = main(["analyze", "--edges", str(SAMPLE / "edges.csv"), "--validate-gn", "--out", str(out)])
+    assert rc == 0
+    assert (out / "gn_trace.csv").read_bytes() == (SAMPLE / "gn_trace.csv").read_bytes()
 
 
 def test_sample_dataset_regenerates_bit_identically(tmp_path):

@@ -12,9 +12,10 @@ from commgraph.graph import (
     bfs_distances,
     build_graph,
     connected_components,
+    shortest_paths,
 )
 from conftest import make_graph
-from oracles import all_simple_paths, random_graph
+from oracles import all_simple_paths, floyd_warshall, random_graph
 
 INF = math.inf
 
@@ -133,6 +134,25 @@ def test_bfs_triangle_property():
         for u, v, _ in g.edges():
             assert dist[v] <= dist[u] + 1
             assert dist[u] <= dist[v] + 1
+
+
+def test_shortest_paths_matches_oracles():
+    rng = random.Random(19)
+    for _ in range(60):
+        g = random_graph(rng)
+        n = g.node_count
+        expected_dist = floyd_warshall(g)
+        for s in range(n):
+            order, dist, sigma, preds = shortest_paths(g.neighbor_ids, s)
+            assert dist == expected_dist[s]
+            assert sorted(order) == [t for t in range(n) if dist[t] < INF]
+            assert [dist[t] for t in order] == sorted(dist[t] for t in order)
+            position = {u: i for i, u in enumerate(order)}
+            for t in range(n):
+                shortest = [p for p in all_simple_paths(g, s, t) if len(p) - 1 == dist[t]]
+                assert sigma[t] == len(shortest)
+                assert set(preds[t]) == {p[-2] for p in shortest if len(p) > 1}
+                assert preds[t] == sorted(preds[t], key=position.get)  # discovery order
 
 
 def test_components_triangle():

@@ -58,6 +58,24 @@ def test_parse_edge_csv_rejects_non_utf8_rows(tmp_path):
     assert log.rows_rejected == [(3, "invalid UTF-8")]
 
 
+def test_byte_order_mark_accepted_in_every_csv(tmp_path):
+    e = write(tmp_path, "e.csv", "\ufeffsource,target\nNU,City Medical\n")
+    n = write(tmp_path, "n.csv", "\ufefflabel,kind\nNorthside University,public\nCity Medical,medical\n")
+    a = write(tmp_path, "a.csv", "\ufeffvariant,canonical\nNU,Northside University\n")
+    g, log = load_dataset(e, n, a)
+    assert {r.label: r.kind for r in g.records} == {"Northside University": "public", "City Medical": "medical"}
+    assert g.edge_count == 1
+    assert log.labels_merged == [("NU", "Northside University")]
+
+
+def test_byte_order_mark_accepted_with_invalid_utf8_rows(tmp_path):
+    p = tmp_path / "e.csv"
+    p.write_bytes(b"\xef\xbb\xbfsource,target\nA,B\n\xff\xfe,bad\n")
+    rows, log = parse_edge_csv(p)
+    assert [(r.source_label, r.target_label) for r in rows] == [("A", "B")]
+    assert log.rows_rejected == [(3, "invalid UTF-8")]
+
+
 def test_case_variants_collapse_downstream(tmp_path):
     p = write(tmp_path, "e.csv", "source,target\nA,B\nb , a\n")
     g, log = load_dataset(p)

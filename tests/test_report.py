@@ -201,6 +201,19 @@ def test_pipeline_rejects_unknown_export(dataset):
         run_pipeline(dataset, exports=("graphml",))
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [({"top_k": 0}, "top_k"), ({"damping": 1.5}, "damping")],
+)
+def test_pipeline_rejects_bad_flags_before_reading_input(dataset, monkeypatch, flags, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr("commgraph.report.load_dataset", fail)
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(dataset, **flags)
+
+
 def test_weighted_flag_feeds_collapsed_weights_to_louvain(tmp_path):
     # square with two heavy opposite sides (weight 5 via repetition)
     rows = ["A,B"] * 5 + ["B,C"] + ["C,D"] * 5 + ["D,A"]

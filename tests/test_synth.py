@@ -5,7 +5,7 @@ import math
 import pytest
 
 from commgraph.ingest import edges_to_csv
-from commgraph.synth import GeneratorSpec, gen_planted_partition, gen_ring_of_cliques
+from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
 
 
 def test_ring_of_cliques_counts():
@@ -58,12 +58,12 @@ def test_planted_partition_intra_count_within_4_sigma():
 
 
 def test_generation_is_byte_identical():
-    for spec in (
-        GeneratorSpec("ring_of_cliques", {"cliques": 4, "clique_size": 5}),
-        GeneratorSpec("planted_partition", {"blocks": 4, "block_size": 10, "p_in": 0.38, "p_out": 0.025}, seed=42),
+    for generate in (
+        lambda: gen_ring_of_cliques(4, 5),
+        lambda: gen_planted_partition(4, 10, 0.38, 0.025, seed=42),
     ):
-        g1, p1 = spec.generate()
-        g2, p2 = spec.generate()
+        g1, p1 = generate()
+        g2, p2 = generate()
         assert edges_to_csv(g1) == edges_to_csv(g2)
         assert p1 == p2
 
@@ -76,7 +76,3 @@ def test_generated_graphs_satisfy_core_invariants():
             assert u != v
             assert (u, w) in g.adjacency[v]
 
-
-def test_unknown_generator_kind():
-    with pytest.raises(ValueError):
-        GeneratorSpec("lattice").generate()
