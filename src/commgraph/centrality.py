@@ -1,7 +1,9 @@
 """The five node-centrality measures and their ranking/serialization helpers.
 
-Every hop-distance consumer (betweenness, closeness, harmonic, and the path
-metrics in `metrics`) runs its BFS through `graph.shortest_paths`.
+The hop-distance consumers (betweenness, closeness, harmonic, and the path
+metrics in `metrics`) share one BFS per source: `Graph.path_sweep` runs
+`graph.shortest_paths` from every node once, caches what all four need, and
+each consumer only normalizes its part.
 
 Conventions (all for undirected unweighted traversal):
     degree       raw deg(v); normalized deg(v)/(N-1)
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegenerateGraphError
-from .graph import Graph, canonical_label, shortest_paths
+from .graph import Graph, canonical_label
 
 logger = logging.getLogger(__name__)
 
@@ -57,19 +59,8 @@ def degree_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
 def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
     """Brandes single-source accumulation; never enumerates paths."""
     n = g.node_count
-    scores = [0.0] * n
-    for s in range(n):
-        order, _, sigma, preds = shortest_paths(g.neighbor_ids, s)
-        delta = [0.0] * n
-        while order:
-            w = order.pop()
-            coeff = (1 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                scores[w] += delta[w]
     # each unordered pair is counted from both endpoints
-    scores = [x / 2 for x in scores]
+    scores = [x / 2 for x in g.path_sweep.dependency]
     if normalized:
         denom = (n - 1) * (n - 2) / 2
         scores = [x / denom for x in scores] if denom > 0 else [0.0] * n
@@ -78,17 +69,17 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
 
 def closeness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
     n = g.node_count
+    sweep = g.path_sweep
     scores = []
     for v in range(n):
-        order, dist, _, _ = shortest_paths(g.neighbor_ids, v)
-        total = sum(dist[u] for u in order)
+        total = sweep.distance_totals[v]
         if total == 0:
             if g.degree(v) == 0:
                 logger.warning("closeness of isolated node %d reported as 0", v)
             scores.append(0.0)
             continue
         if normalized:
-            reach = len(order) - 1
+            reach = sweep.reach[v]
             scores.append((reach / total) * (reach / (n - 1)))
         else:
             scores.append(1 / total)
@@ -97,12 +88,8 @@ def closeness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
 
 def harmonic_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
     n = g.node_count
-    scores = []
-    for v in range(n):
-        dist = shortest_paths(g.neighbor_ids, v)[1]
-        # summed in node-id order, not visit order: the float sum order fixes report bytes
-        total = sum(1 / d for d in dist if 0 < d < INF)
-        scores.append(total / (n - 1) if normalized and n > 1 else total)
+    totals = g.path_sweep.harmonic
+    scores = [total / (n - 1) if normalized and n > 1 else total for total in totals]
     return CentralityVector("harmonic", tuple(scores), normalized)
 
 

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 rejected/degenerate input, 2 internal error.
+Exit codes: 0 success, 1 rejected/degenerate input or a bad flag, 2 internal error.
 """
 
 from __future__ import annotations
@@ -23,8 +23,16 @@ def _add_input_args(parser):
     parser.add_argument("--aliases", help="alias CSV (variant,canonical)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1, not argparse's 2, on a usage error: a bad flag is rejected input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="commgraph", description=__doc__)
+    parser = _Parser(prog="commgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="run the full analysis pipeline")

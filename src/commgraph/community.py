@@ -186,17 +186,25 @@ def louvain(g: Graph) -> Dendrogram:
 
 def edge_betweenness(g: Graph) -> dict[tuple[int, int], float]:
     """Per-edge shortest-path betweenness over unordered node pairs."""
-    return _edge_betweenness(g.neighbor_ids)
-
-
-def _edge_betweenness(adjacency) -> dict[tuple[int, int], float]:
-    n = len(adjacency)
     scores: dict[tuple[int, int], float] = {}
-    for u in range(n):
+    _edge_dependencies(g.neighbor_ids, range(g.node_count), scores)
+    return {e: x / 2 for e, x in scores.items()}
+
+
+def _edge_dependencies(adjacency, sources, scores: dict[tuple[int, int], float]) -> None:
+    """Reset the edges of `sources` in `scores`, then add their Brandes dependencies.
+
+    `sources` must be whole components in ascending id order. An edge only
+    gains dependency from sources in its own component, so each edge's sum
+    then has the same terms in the same order as a run over all nodes, and
+    edges outside `sources` keep their scores.
+    """
+    n = len(adjacency)
+    for u in sources:
         for v in adjacency[u]:
             if u < v:
                 scores[(u, v)] = 0.0
-    for s in range(n):
+    for s in sources:
         order, _, sigma, preds = shortest_paths(adjacency, s)
         delta = [0.0] * n
         while order:
@@ -207,7 +215,6 @@ def _edge_betweenness(adjacency) -> dict[tuple[int, int], float]:
                 key = (v, w) if v < w else (w, v)
                 scores[key] += contribution
                 delta[v] += contribution
-    return {e: x / 2 for e, x in scores.items()}
 
 
 @dataclass(frozen=True)
@@ -222,6 +229,10 @@ class GNTrace:
 def girvan_newman(g: Graph) -> GNTrace:
     """Remove max-betweenness edges one at a time, recomputing after each.
 
+    After a removal only the component(s) holding its endpoints are
+    recomputed (Girvan & Newman 2002); every other edge keeps its score,
+    which a full recompute would reproduce bit for bit.
+
     Candidate partitions are the connected components of the pruned graph;
     their modularity is always evaluated on the original graph. The earliest
     maximum wins.
@@ -234,19 +245,24 @@ def girvan_newman(g: Graph) -> GNTrace:
     best_partition = components(adjacency)
     best_q = _modularity_kernel(original, best_partition.assignment)
     removals: list[tuple[tuple[int, int], float]] = []
-    edges_left = g.edge_count
-    while edges_left:
-        scores = _edge_betweenness(adjacency)
+    # unhalved edge betweenness; halving is exact, so the argmax is the same
+    scores: dict[tuple[int, int], float] = {}
+    _edge_dependencies(adjacency, range(g.node_count), scores)
+    while scores:
         target = min(scores, key=lambda e: (-scores[e], e))
         u, v = target
         adjacency[u].remove(v)
         adjacency[v].remove(u)
-        edges_left -= 1
+        del scores[target]
         part = components(adjacency)
         q = _modularity_kernel(original, part.assignment)
         removals.append((target, q))
         if q > best_q:
             best_partition, best_q = part, q
+        # only the component(s) that held the removed edge changed
+        touched = {part.assignment[u], part.assignment[v]}
+        sources = [s for s, c in enumerate(part.assignment) if c in touched]
+        _edge_dependencies(adjacency, sources, scores)
     return GNTrace(tuple(removals), best_partition, best_q)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphBuildError
@@ -74,7 +73,7 @@ class Graph:
     def node_count(self) -> int:
         return len(self.records)
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.records)
 
@@ -88,6 +87,11 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.neighbor_ids[v]
+
+    @functools.cached_property
+    def path_sweep(self) -> PathSweep:
+        """The all-pairs hop-distance sweep, run once per graph and shared."""
+        return sweep_all_pairs(self.neighbor_ids)
 
     def edges(self):
         """Yield (u, v, weight) with u < v, ascending."""
@@ -208,11 +212,8 @@ def shortest_paths(adjacency, source: int) -> tuple[list[int], list[float], list
     preds: list[list[int]] = [[] for _ in range(n)]
     dist[source] = 0
     sigma[source] = 1
-    order: list[int] = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
+    order = [source]
+    for u in order:  # `order` is also the FIFO queue: the loop reaches what it appends
         step = dist[u] + 1
         paths = sigma[u]
         for v in adjacency[u]:
@@ -220,7 +221,7 @@ def shortest_paths(adjacency, source: int) -> tuple[list[int], list[float], list
                 dist[v] = step
                 sigma[v] = paths
                 preds[v].append(u)
-                queue.append(v)
+                order.append(v)
             elif dist[v] == step:
                 sigma[v] += paths
                 preds[v].append(u)
@@ -249,3 +250,55 @@ def components(adjacency) -> Partition:
 def connected_components(g: Graph) -> Partition:
     """Component labeling; labels contiguous from 0 ordered by smallest member."""
     return components(g.neighbor_ids)
+
+
+@dataclass(frozen=True)
+class PathSweep:
+    """What the hop-distance consumers read from one BFS per source.
+
+    Per-node tuples are indexed by source: `reach` counts the nodes other
+    than the source that it reaches, `distance_totals` sums their hop
+    distances, and `harmonic` sums their reciprocal distances in node-id
+    order. `dependency` is the Brandes (2001) sum of pair dependencies over
+    ordered pairs, each source's added in ascending source order.
+    """
+
+    reach: tuple[int, ...]
+    distance_totals: tuple[int, ...]
+    harmonic: tuple[float, ...]
+    dependency: tuple[float, ...]
+    diameter: int
+    component_count: int
+
+
+def sweep_all_pairs(adjacency) -> PathSweep:
+    """Run `shortest_paths` from every source once and gather a PathSweep."""
+    n = len(adjacency)
+    reach = [0] * n
+    totals = [0] * n
+    harmonic = [0.0] * n
+    dependency = [0.0] * n
+    diameter = 0
+    seen = [False] * n
+    component_count = 0
+    for s in range(n):
+        order, dist, sigma, preds = shortest_paths(adjacency, s)
+        if not seen[s]:  # s is the smallest node of its component
+            component_count += 1
+            for v in order:
+                seen[v] = True
+        reach[s] = len(order) - 1
+        diameter = max(diameter, dist[order[-1]])  # BFS visits the farthest node last
+        # summed in node-id order, not visit order: the float sum order fixes report bytes
+        harmonic[s] = sum(1 / d for d in dist if 0 < d < INF)
+        total = 0
+        delta = [0.0] * n
+        for w in reversed(order):
+            total += dist[w]
+            coeff = (1 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                dependency[w] += delta[w]
+        totals[s] = total
+    return PathSweep(tuple(reach), tuple(totals), tuple(harmonic), tuple(dependency), diameter, component_count)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyGraphError
-from .graph import Graph, connected_components, shortest_paths
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -42,25 +42,18 @@ def global_metrics(g: Graph) -> MetricsReport:
 
     Path statistics cover unordered reachable pairs only; with no reachable
     pair at all (edgeless or single-node graphs) both the average path length
-    and the diameter report 0.
+    and the diameter report 0. They and the component count come from the
+    graph's shared `path_sweep`, which the path centralities read too.
     """
     n = g.node_count
     if n == 0:
         raise EmptyGraphError("metrics are undefined on an empty graph")
 
-    dist_sum = 0
-    pair_count = 0
-    longest = 0
-    for source in range(n):
-        order, dist, _, _ = shortest_paths(g.neighbor_ids, source)
-        longest = max(longest, dist[order[-1]])  # BFS visits the farthest node last
-        for target in order:
-            if target > source:
-                dist_sum += dist[target]
-                pair_count += 1
-
+    sweep = g.path_sweep
+    # the per-source totals count each unordered reachable pair from both ends
+    dist_sum = sum(sweep.distance_totals) // 2
+    pair_count = sum(sweep.reach) // 2
     clustering_sum = sum(local_clustering(g, v) for v in range(n))
-    components = connected_components(g)
 
     return MetricsReport(
         node_count=n,
@@ -68,8 +61,8 @@ def global_metrics(g: Graph) -> MetricsReport:
         average_degree=2 * g.edge_count / n,
         density=2 * g.edge_count / (n * (n - 1)) if n >= 2 else 0.0,
         average_path_length=dist_sum / pair_count if pair_count else 0.0,
-        diameter=longest,
+        diameter=sweep.diameter,
         average_clustering=clustering_sum / n,
-        is_connected=components.community_count == 1,
-        component_count=components.community_count,
+        is_connected=sweep.component_count == 1,
+        component_count=sweep.component_count,
     )

@@ -79,7 +79,7 @@ def pearson_correlation_matrix(vectors: list[CentralityVector], method: str = "p
     for i in range(k):
         for j in range(i, k):
             r = _pearson(data[i], data[j])
-            if r is None:
+            if r is None and i < j:  # a null diagonal only repeats its row's warnings
                 logger.warning(
                     "zero variance in %s/%s correlation, reporting null",
                     vectors[i].measure,

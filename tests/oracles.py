@@ -2,6 +2,9 @@
 
 Everything here trades speed for obviousness: explicit path enumeration,
 dense matrices, pairwise double sums. Intended for graphs of ~7 nodes.
+The exception is `girvan_newman_full_recompute`, the plain divisive run that
+recomputes every edge's betweenness after each removal; it is the reference
+for the component-local recompute in `commgraph.community`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import random
 
 import numpy as np
 
-from commgraph.graph import Graph, NodeRecord, build_graph
+from commgraph.community import AggregateGraph, GNTrace, _modularity_kernel
+from commgraph.graph import Graph, NodeRecord, build_graph, components
+from commgraph.graph import shortest_paths as bfs_kernel
 
 INF = math.inf
 
@@ -176,3 +181,47 @@ def modularity_pairwise(g: Graph, assignment) -> float:
             if assignment[i] == assignment[j]:
                 q += a[i, j] - k[i] * k[j] / two_m
     return q / two_m
+
+
+def _full_edge_betweenness(adjacency) -> dict[tuple[int, int], float]:
+    n = len(adjacency)
+    scores: dict[tuple[int, int], float] = {}
+    for u in range(n):
+        for v in adjacency[u]:
+            if u < v:
+                scores[(u, v)] = 0.0
+    for s in range(n):
+        order, _, sigma, preds = bfs_kernel(adjacency, s)
+        delta = [0.0] * n
+        while order:
+            w = order.pop()
+            coeff = (1 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                contribution = sigma[v] * coeff
+                key = (v, w) if v < w else (w, v)
+                scores[key] += contribution
+                delta[v] += contribution
+    return {e: x / 2 for e, x in scores.items()}
+
+
+def girvan_newman_full_recompute(g: Graph) -> GNTrace:
+    """Girvan-Newman recomputing betweenness over the whole graph after every removal."""
+    original = AggregateGraph.from_graph(g)
+    adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
+    best_partition = components(adjacency)
+    best_q = _modularity_kernel(original, best_partition.assignment)
+    removals = []
+    edges_left = g.edge_count
+    while edges_left:
+        scores = _full_edge_betweenness(adjacency)
+        target = min(scores, key=lambda e: (-scores[e], e))
+        u, v = target
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+        edges_left -= 1
+        part = components(adjacency)
+        q = _modularity_kernel(original, part.assignment)
+        removals.append((target, q))
+        if q > best_q:
+            best_partition, best_q = part, q
+    return GNTrace(tuple(removals), best_partition, best_q)

@@ -257,3 +257,22 @@ def test_centrality_csv_shape(star4):
     assert lines[0] == "label," + ",".join(MEASURES)
     assert len(lines) == 5
     assert lines[1].startswith("A,1,1,1,1,")  # center first by label sort
+
+
+def test_metrics_and_centralities_share_one_sweep(monkeypatch):
+    import commgraph.graph as graph_module
+    from commgraph.metrics import global_metrics
+    from commgraph.synth import gen_planted_partition
+
+    g, _ = gen_planted_partition(3, 10, 0.3, 0.02, seed=5)
+    sources = []
+    kernel = graph_module.shortest_paths
+
+    def counting(adjacency, source):
+        sources.append(source)
+        return kernel(adjacency, source)
+
+    monkeypatch.setattr(graph_module, "shortest_paths", counting)
+    global_metrics(g)
+    all_centralities(g)
+    assert sources == list(range(g.node_count))

@@ -46,6 +46,29 @@ def test_synth_missing_params_exits_one(tmp_path, capsys):
     assert "requires" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--edges", "edges.csv", "--top-k", "abc"], "invalid int value: 'abc'"),
+        (["synth", "--kind", "lattice"], "invalid choice: 'lattice'"),
+    ],
+)
+def test_usage_error_exits_one(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: commgraph")
+    assert message in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--validate-gn" in capsys.readouterr().out
+
+
 def test_analyze_writes_bundle(ring_dir, tmp_path):
     out = tmp_path / "analysis"
     rc = main([

@@ -16,9 +16,14 @@ from commgraph.community import (
     partition_to_csv,
     _modularity_kernel,
 )
-from commgraph.graph import NodeRecord, Partition, build_graph
+from commgraph.graph import NodeRecord, Partition, build_graph, connected_components
 from conftest import make_graph
-from oracles import edge_betweenness_by_enumeration, modularity_pairwise, random_graph
+from oracles import (
+    edge_betweenness_by_enumeration,
+    girvan_newman_full_recompute,
+    modularity_pairwise,
+    random_graph,
+)
 
 
 def singletons(n):
@@ -268,6 +273,43 @@ def test_girvan_newman_k2():
 def test_girvan_newman_nonnegative_on_disconnected():
     g = make_graph(5, [(0, 1), (2, 3), (3, 4)])
     assert girvan_newman(g).best_q >= 0.0
+
+
+def _numbered_graph(n, pairs):
+    records = [NodeRecord(label=f"n{i}") for i in range(n)]
+    g, _ = build_graph(records, [(f"n{u}", f"n{v}") for u, v in pairs])
+    return g
+
+
+def _cycle(n, base=0):
+    return [(base + i, base + (i + 1) % n) for i in range(n)]
+
+
+def _gn_differential_graphs():
+    """Tie-heavy shapes, disconnected unions with isolates, and random graphs."""
+    from commgraph.synth import gen_ring_of_cliques
+
+    graphs = [_numbered_graph(n, _cycle(n)) for n in (4, 6, 8, 10, 12)]
+    graphs += [gen_ring_of_cliques(k, s)[0] for k, s in ((3, 3), (4, 4), (5, 3), (3, 5))]
+    graphs.append(_numbered_graph(14, _cycle(6) + _cycle(4, base=6)))  # plus 4 isolates
+    graphs.append(_numbered_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3
+    graphs.append(_numbered_graph(8, [(a, a ^ bit) for a in range(8) for bit in (1, 2, 4) if a < a ^ bit]))  # 3-cube
+    rng = random.Random(2002)
+    while len(graphs) < 100:
+        n = rng.randint(2, 22)
+        p = rng.uniform(0.05, 0.5)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        if pairs:
+            graphs.append(_numbered_graph(n, pairs))
+    return graphs
+
+
+def test_girvan_newman_matches_full_recompute():
+    # the component-local recompute must give the full recompute's trace, ties and floats included
+    graphs = _gn_differential_graphs()
+    assert sum(connected_components(g).community_count > 1 for g in graphs) >= 20
+    for g in graphs:
+        assert girvan_newman(g) == girvan_newman_full_recompute(g)
 
 
 # ---------------------------------------------------- partition compare

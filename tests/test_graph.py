@@ -91,6 +91,12 @@ def test_unweighted_skeleton_keeps_structure():
     assert skel.labels == g.labels
 
 
+def test_labels_built_once():
+    g, _ = build_graph(records("B", "A"), [("A", "B")])
+    assert g.labels == ("B", "A")
+    assert g.labels is g.labels
+
+
 def test_bfs_path_graph():
     g = make_graph(3, [(0, 1), (1, 2)])
     assert bfs_distances(g, 0) == [0, 1, 2]
