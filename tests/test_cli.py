@@ -110,6 +110,26 @@ def test_validate_gn_sample_matches_committed_trace(tmp_path):
     assert (out / "gn_trace.csv").read_bytes() == (SAMPLE / "gn_trace.csv").read_bytes()
 
 
+def test_analyze_weighted_collab_sample_matches_committed_golden(tmp_path):
+    # dirty weighted input: case/whitespace variants, aliases, duplicates,
+    # self-loops, malformed rows and non-integer weights (no alias chain)
+    collab = SAMPLE / "collab"
+    out = tmp_path / "collab"
+    rc = main([
+        "analyze", "--weighted",
+        "--edges", str(collab / "edges.csv"),
+        "--nodes", str(collab / "nodes.csv"),
+        "--aliases", str(collab / "aliases.csv"),
+        "--out", str(out), "--export", "gexf,dot,json",
+    ])
+    assert rc == 0
+    expected = collab / "expected"
+    names = sorted(p.name for p in expected.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
 def test_sample_dataset_regenerates_bit_identically(tmp_path):
     out = tmp_path / "regen"
     rc = main([
