@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegenerateGraphError
-from .graph import Graph, canonical_label
+from .graph import Graph, canonical_label, left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -139,13 +139,13 @@ def _pagerank_sweeps(g: Graph, damping: float, max_iter: int):
     ranks = [1 / n] * n
     base = (1 - damping) / n
     for _ in range(max_iter):
-        dangling = sum(ranks[v] for v in range(n) if g.degree(v) == 0)
+        dangling = left_sum(ranks[v] for v in range(n) if g.degree(v) == 0)
         spread = damping * dangling / n
         nxt = [
-            base + spread + damping * sum(ranks[u] / g.degree(u) for u, _ in g.adjacency[v])
+            base + spread + damping * left_sum(ranks[u] / g.degree(u) for u, _ in g.adjacency[v])
             for v in range(n)
         ]
-        residual = sum(abs(a - b) for a, b in zip(nxt, ranks))
+        residual = left_sum(abs(a - b) for a, b in zip(nxt, ranks))
         ranks = nxt
         yield _Sweep(ranks, residual)
 

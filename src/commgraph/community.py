@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PartitionMismatchError, UndefinedModularityError
-from .graph import Graph, Partition, components, shortest_paths
+from .graph import Graph, Partition, components, left_sum, shortest_paths
 
 _GAIN_EPS = 1e-7  # level-to-level modularity improvement below this stops Louvain
 
@@ -40,11 +40,12 @@ class AggregateGraph:
     def node_count(self) -> int:
         return len(self.adjacency)
 
-    def weighted_degree(self, v: int) -> float:
-        return sum(self.adjacency[v].values()) + 2 * self.self_loops[v]
+    def degrees(self) -> list[float]:
+        """Weighted degree of every node, a self-loop counting twice."""
+        return [left_sum(nbrs.values()) + 2 * loop for nbrs, loop in zip(self.adjacency, self.self_loops)]
 
     def total_weight(self) -> float:
-        return sum(sum(nbrs.values()) for nbrs in self.adjacency) / 2 + sum(self.self_loops)
+        return left_sum(left_sum(nbrs.values()) for nbrs in self.adjacency) / 2 + left_sum(self.self_loops)
 
 
 def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
@@ -55,14 +56,14 @@ def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
     count = max(assignment) + 1 if assignment else 0
     intra = [0.0] * count
     degree = [0.0] * count
-    for v in range(agg.node_count):
+    for v, k in enumerate(agg.degrees()):
         c = assignment[v]
-        degree[c] += agg.weighted_degree(v)
+        degree[c] += k
         intra[c] += agg.self_loops[v]
         for u, w in agg.adjacency[v].items():
             if assignment[u] == c and u < v:
                 intra[c] += w
-    return sum(e / m - (d / (2 * m)) ** 2 for e, d in zip(intra, degree))
+    return left_sum(e / m - (d / (2 * m)) ** 2 for e, d in zip(intra, degree))
 
 
 def modularity(g: Graph, p: Partition) -> float:
@@ -126,32 +127,45 @@ def _local_sweep(agg: AggregateGraph, m: float) -> tuple[list[int], bool]:
     """
     n = agg.node_count
     community = list(range(n))
-    degree = [agg.weighted_degree(v) for v in range(n)]
+    degree = agg.degrees()
     tot = degree[:]  # total weighted degree per community label
+    two_m2 = 2 * m * m
+    # links[v]: weight from v to each adjacent community (self-loops excluded),
+    # summed in neighbor order; kept until a neighbor of v moves
+    links: list[dict[int, float] | None] = [None] * n
+    nodes = list(zip(range(n), degree, [tuple(nbrs.items()) for nbrs in agg.adjacency]))
     moved_any = False
     improved = True
     while improved:
         improved = False
-        for v in range(n):
+        for v, k_v, nbrs in nodes:
             old = community[v]
-            k_v = degree[v]
-            # weight from v to each adjacent community (self-loops excluded)
-            link: dict[int, float] = {}
-            for u, w in agg.adjacency[v].items():
-                link[community[u]] = link.get(community[u], 0.0) + w
+            link = links[v]
+            if link is None:
+                link = links[v] = {}
+                for u, w in nbrs:
+                    c = community[u]
+                    if c in link:
+                        link[c] += w
+                    else:
+                        link[c] = w
+            # v leaves and re-enters even when it stays: with non-integer
+            # weights this round trip can change tot[old] in the last bit
             tot[old] -= k_v
-            stay_gain = link.get(old, 0.0) / m - tot[old] * k_v / (2 * m * m)
+            stay_gain = link.get(old, 0.0) / m - tot[old] * k_v / two_m2
             best_c, best_gain = old, 0.0
-            # ascending candidate order + strict improvement = lowest id wins ties
-            for c in sorted(link):
+            for c, weight in link.items():
                 if c == old:
                     continue
-                gain = link[c] / m - tot[c] * k_v / (2 * m * m) - stay_gain
-                if gain > best_gain:
+                gain = weight / m - tot[c] * k_v / two_m2 - stay_gain
+                # strictly positive gains only; the lowest id wins a tie
+                if gain > best_gain or (gain == best_gain and c < best_c and best_c != old):
                     best_c, best_gain = c, gain
             tot[best_c] += k_v
             if best_c != old:
                 community[v] = best_c
+                for u, _ in nbrs:
+                    links[u] = None
                 improved = True
                 moved_any = True
     return community, moved_any

@@ -23,6 +23,7 @@ from .graph import (
     INSTITUTION_KINDS,
     BuildCounts,
     Graph,
+    Memo,
     NodeRecord,
     build_graph,
     canonical_label,
@@ -79,7 +80,8 @@ def _read_rows(path) -> list[tuple[int, list[str], str | None]]:
         return rows
     rows = []
     for i, fields in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not fields or all(f.strip() == "" for f in fields):
+        # blank row: most rows fail the first test, so the scan over all fields is rare
+        if not fields or (not fields[0].strip() and all(f.strip() == "" for f in fields)):
             continue
         rows.append((i, fields, None))
     return rows
@@ -96,19 +98,21 @@ def parse_edge_csv(path) -> tuple[list[RawEdgeRow], CleaningLog]:
     header = [h.strip().casefold() for h in header]
     if header not in (["source", "target"], ["source", "target", "weight"]):
         raise IngestError(f"{path}: expected header source,target[,weight], got {','.join(header)!r}")
-    has_weight = len(header) == 3
+    width = len(header)
+    has_weight = width == 3
 
     log = CleaningLog()
     out: list[RawEdgeRow] = []
+    labels = Memo(display_label)  # endpoints repeat: normalize each distinct string once
     for line_no, fields, err in rows[1:]:
         if err is not None:
             log.rows_rejected.append((line_no, err))
             continue
-        if len(fields) != len(header):
-            log.rows_rejected.append((line_no, f"expected {len(header)} fields, got {len(fields)}"))
+        if len(fields) != width:
+            log.rows_rejected.append((line_no, f"expected {width} fields, got {len(fields)}"))
             continue
-        source = display_label(fields[0])
-        target = display_label(fields[1])
+        source = labels[fields[0]]
+        target = labels[fields[1]]
         if not source:
             log.rows_rejected.append((line_no, "empty source"))
             continue
@@ -188,7 +192,13 @@ def parse_node_csv(path, log: CleaningLog | None = None) -> list[NodeRecord]:
 
 
 def parse_alias_csv(path) -> dict[str, str]:
-    """Read variant -> canonical label mappings, keyed by canonical form."""
+    """Read variant -> canonical label mappings, keyed by canonical form.
+
+    Chains resolve transitively: with `A,B` and `B,C` both A and B map to C.
+    A cycle (`A,B` and `B,A`) is rejected. An alias whose canonical label
+    differs from its variant only in case or spacing ends a chain: it sets
+    the node's spelling.
+    """
     rows = _read_rows(path)
     if not rows:
         raise IngestError(f"{path}: empty file, expected a variant,canonical header")
@@ -198,6 +208,7 @@ def parse_alias_csv(path) -> dict[str, str]:
     if [h.strip().casefold() for h in header] != ["variant", "canonical"]:
         raise IngestError(f"{path}: expected header variant,canonical")
     aliases: dict[str, str] = {}
+    variants: dict[str, str] = {}  # canonical form -> the variant as first written
     for line_no, fields, err in rows[1:]:
         if err is not None:
             raise IngestError(f"{path}: line {line_no} is not valid UTF-8")
@@ -208,7 +219,21 @@ def parse_alias_csv(path) -> dict[str, str]:
         if key in aliases and canonical_label(aliases[key]) != canonical_label(target):
             raise IngestError(f"{path}: line {line_no}: conflicting alias for {fields[0].strip()!r}")
         aliases[key] = target
-    return aliases
+        variants.setdefault(key, display_label(fields[0]))
+
+    resolved: dict[str, str] = {}
+    for key, target in aliases.items():
+        chain = [key]
+        nxt = canonical_label(target)
+        while nxt in aliases and nxt != chain[-1]:
+            if nxt in chain:
+                cycle = chain[chain.index(nxt):] + [nxt]
+                raise IngestError(f"{path}: alias cycle {' -> '.join(variants[k] for k in cycle)}")
+            chain.append(nxt)
+            target = aliases[nxt]
+            nxt = canonical_label(target)
+        resolved[key] = target
+    return resolved
 
 
 def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, CleaningLog]:
@@ -225,8 +250,8 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
     registry: dict[str, NodeRecord] = {canonical_label(r.label): r for r in records}
     merged: set[tuple[str, str]] = set()
 
-    def resolve(raw: str) -> str:
-        name = display_label(raw)
+    @Memo  # the result for a string never changes once its node is registered
+    def resolve(name: str) -> str:  # `name` is a display label (parse_edge_csv)
         key = canonical_label(name)
         if key in aliases:
             target = aliases[key]
@@ -239,9 +264,9 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
             merged.add((name, stored))
         return stored
 
-    resolved = [(resolve(r.source_label), resolve(r.target_label), r.weight) for r in edge_rows]
+    resolved = [(resolve[r.source_label], resolve[r.target_label], r.weight) for r in edge_rows]
 
-    ordered = sorted(registry.values(), key=lambda r: canonical_label(r.label))
+    ordered = [registry[key] for key in sorted(registry)]  # keys are the canonical labels
     graph, counts = build_graph(ordered, resolved)
     log.absorb(counts)
     log.labels_merged = sorted(merged)

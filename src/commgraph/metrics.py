@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyGraphError
-from .graph import Graph
+from .graph import Graph, left_sum
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def global_metrics(g: Graph) -> MetricsReport:
     # the per-source totals count each unordered reachable pair from both ends
     dist_sum = sum(sweep.distance_totals) // 2
     pair_count = sum(sweep.reach) // 2
-    clustering_sum = sum(local_clustering(g, v) for v in range(n))
+    clustering_sum = left_sum(local_clustering(g, v) for v in range(n))
 
     return MetricsReport(
         node_count=n,

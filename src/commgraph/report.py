@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, check_damping, rank_top_k
 from .community import GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
-from .graph import Graph, NodeRecord, Partition, build_graph
+from .graph import Graph, NodeRecord, Partition, build_graph, left_sum
 from .ingest import CleaningLog, load_dataset
 from .metrics import MetricsReport, global_metrics
 
@@ -33,15 +33,15 @@ GEXF_NS = "http://www.gexf.net/1.2draft"
 
 def _pearson(x, y) -> float | None:
     n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
+    mx = left_sum(x) / n
+    my = left_sum(y) / n
     dx = [a - mx for a in x]
     dy = [b - my for b in y]
-    vx = sum(a * a for a in dx)
-    vy = sum(b * b for b in dy)
+    vx = left_sum(a * a for a in dx)
+    vy = left_sum(b * b for b in dy)
     if vx == 0 or vy == 0:
         return None
-    return sum(a * b for a, b in zip(dx, dy)) / (vx * vy) ** 0.5
+    return left_sum(a * b for a, b in zip(dx, dy)) / (vx * vy) ** 0.5
 
 
 def _ranks(values) -> list[float]:

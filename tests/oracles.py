@@ -2,9 +2,11 @@
 
 Everything here trades speed for obviousness: explicit path enumeration,
 dense matrices, pairwise double sums. Intended for graphs of ~7 nodes.
-The exception is `girvan_newman_full_recompute`, the plain divisive run that
-recomputes every edge's betweenness after each removal; it is the reference
-for the component-local recompute in `commgraph.community`.
+The exceptions are `girvan_newman_full_recompute`, the plain divisive run
+that recomputes every edge's betweenness after each removal, and
+`louvain_reference`, the plain Louvain loop that rebuilds every node's
+neighbor-community weights on every visit; they are the references for the
+component-local recompute and the cached sweep in `commgraph.community`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,16 @@ import random
 
 import numpy as np
 
-from commgraph.community import AggregateGraph, GNTrace, _modularity_kernel
-from commgraph.graph import Graph, NodeRecord, build_graph, components
+from commgraph.community import (
+    _GAIN_EPS,
+    AggregateGraph,
+    Dendrogram,
+    GNTrace,
+    _modularity_kernel,
+    aggregate_graph,
+)
+from commgraph.errors import UndefinedModularityError
+from commgraph.graph import Graph, NodeRecord, Partition, build_graph, components, left_sum
 from commgraph.graph import shortest_paths as bfs_kernel
 
 INF = math.inf
@@ -225,3 +235,85 @@ def girvan_newman_full_recompute(g: Graph) -> GNTrace:
         if q > best_q:
             best_partition, best_q = part, q
     return GNTrace(tuple(removals), best_partition, best_q)
+
+
+# Louvain as first written: per-node weighted_degree calls, link sums rebuilt
+# on every visit, candidates in sorted order. Float sums fold left to right
+# (`left_sum`), which is what `sum()` did on every Python before 3.12.
+
+
+def _weighted_degree(agg: AggregateGraph, v: int) -> float:
+    return left_sum(agg.adjacency[v].values()) + 2 * agg.self_loops[v]
+
+
+def _modularity_reference(agg: AggregateGraph, assignment) -> float:
+    m = agg.total_weight()
+    count = max(assignment) + 1 if assignment else 0
+    intra = [0.0] * count
+    degree = [0.0] * count
+    for v in range(agg.node_count):
+        c = assignment[v]
+        degree[c] += _weighted_degree(agg, v)
+        intra[c] += agg.self_loops[v]
+        for u, w in agg.adjacency[v].items():
+            if assignment[u] == c and u < v:
+                intra[c] += w
+    return left_sum(e / m - (d / (2 * m)) ** 2 for e, d in zip(intra, degree))
+
+
+def _local_sweep_reference(agg: AggregateGraph, m: float) -> tuple[list[int], bool]:
+    n = agg.node_count
+    community = list(range(n))
+    degree = [_weighted_degree(agg, v) for v in range(n)]
+    tot = degree[:]
+    moved_any = False
+    improved = True
+    while improved:
+        improved = False
+        for v in range(n):
+            old = community[v]
+            k_v = degree[v]
+            link: dict[int, float] = {}
+            for u, w in agg.adjacency[v].items():
+                link[community[u]] = link.get(community[u], 0.0) + w
+            tot[old] -= k_v
+            stay_gain = link.get(old, 0.0) / m - tot[old] * k_v / (2 * m * m)
+            best_c, best_gain = old, 0.0
+            for c in sorted(link):
+                if c == old:
+                    continue
+                gain = link[c] / m - tot[c] * k_v / (2 * m * m) - stay_gain
+                if gain > best_gain:
+                    best_c, best_gain = c, gain
+            tot[best_c] += k_v
+            if best_c != old:
+                community[v] = best_c
+                improved = True
+                moved_any = True
+    return community, moved_any
+
+
+def louvain_reference(g: Graph) -> Dendrogram:
+    """Louvain rebuilding each visited node's neighbor-community weights from scratch."""
+    agg = AggregateGraph.from_graph(g)
+    m = agg.total_weight()
+    if m <= 0:
+        raise UndefinedModularityError("modularity is undefined with zero total edge weight")
+    original = agg
+    node_map = list(range(g.node_count))
+    levels: list[Partition] = []
+    qs: list[float] = []
+    while True:
+        assignment, moved = _local_sweep_reference(agg, m)
+        local = Partition.from_assignment(assignment)
+        projected = Partition.from_assignment([local.assignment[node_map[v]] for v in range(g.node_count)])
+        q = _modularity_reference(original, projected.assignment)
+        if levels and (not moved or q - qs[-1] < _GAIN_EPS):
+            break
+        levels.append(projected)
+        qs.append(q)
+        if not moved:
+            break
+        agg = aggregate_graph(agg, local)
+        node_map = [local.assignment[s] for s in node_map]
+    return Dendrogram(tuple(levels), tuple(qs))

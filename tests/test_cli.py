@@ -130,6 +130,24 @@ def test_analyze_weighted_collab_sample_matches_committed_golden(tmp_path):
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
+def test_alias_chain_merges_into_one_node(tmp_path, capsys):
+    (tmp_path / "e.csv").write_text("source,target\nA,X\nB,Y\nC,Z\n", encoding="utf-8")
+    (tmp_path / "a.csv").write_text("variant,canonical\nA,B\nB,C\n", encoding="utf-8")
+    rc = main(["communities", "--edges", str(tmp_path / "e.csv"), "--aliases", str(tmp_path / "a.csv")])
+    assert rc == 0
+    assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]] == ["C", "X", "Y", "Z"]
+
+
+def test_alias_cycle_exits_1_naming_its_labels(tmp_path, capsys):
+    (tmp_path / "e.csv").write_text("source,target\nA,B\n", encoding="utf-8")
+    (tmp_path / "a.csv").write_text("variant,canonical\nA,B\nB,A\n", encoding="utf-8")
+    rc = main(["analyze", "--edges", str(tmp_path / "e.csv"), "--aliases", str(tmp_path / "a.csv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alias cycle A -> B -> A" in captured.err
+
+
 def test_sample_dataset_regenerates_bit_identically(tmp_path):
     out = tmp_path / "regen"
     rc = main([

@@ -21,6 +21,7 @@ from conftest import make_graph
 from oracles import (
     edge_betweenness_by_enumeration,
     girvan_newman_full_recompute,
+    louvain_reference,
     modularity_pairwise,
     random_graph,
 )
@@ -310,6 +311,68 @@ def test_girvan_newman_matches_full_recompute():
     assert sum(connected_components(g).community_count > 1 for g in graphs) >= 20
     for g in graphs:
         assert girvan_newman(g) == girvan_newman_full_recompute(g)
+
+
+def _weighted_numbered_graph(n, pairs, weights):
+    records = [NodeRecord(label=f"n{i}") for i in range(n)]
+    g, _ = build_graph(records, [(f"n{u}", f"n{v}", w) for (u, v), w in zip(pairs, weights)])
+    return g
+
+
+def _ring_of_cliques(k, s):
+    pairs = [(c * s + a, c * s + b) for c in range(k) for a in range(s) for b in range(a + 1, s)]
+    return pairs + [(c * s, ((c + 1) % k) * s + 1) for c in range(k)]
+
+
+def _louvain_differential_graphs():
+    """Regular graphs and rings of cliques (tie-heavy), disconnected unions with
+    isolates, and random graphs, under integer, tenth and third weights."""
+    rng = random.Random(2008)
+    shapes = [(n, _cycle(n)) for n in (4, 6, 9, 16)]
+    shapes += [(n, [(a, b) for a in range(n) for b in range(a + 1, n)]) for n in (4, 7)]  # complete
+    shapes += [(n, [(a, (a + d) % n) for a in range(n) for d in offsets])  # circulant, 4-regular
+               for n, offsets in ((10, (1, 2)), (12, (1, 3)), (15, (1, 5)))]
+    shapes.append((6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3
+    shapes += [(2 ** d, [(a, a ^ (1 << i)) for a in range(2 ** d) for i in range(d) if a < a ^ (1 << i)])
+               for d in (3, 4)]  # hypercubes
+    shapes += [(k * s, _ring_of_cliques(k, s)) for k, s in ((3, 3), (4, 4), (6, 3), (5, 5))]
+    shapes.append((20, _cycle(6) + [(6 + a, 6 + b) for a, b in _ring_of_cliques(3, 3)]))  # plus 5 isolates
+    shapes.append((14, _cycle(4) + _cycle(5, base=4)))  # plus 5 isolates
+    schemes = (
+        lambda: 1.0,
+        lambda: 0.1,
+        lambda: 1 / 3,
+        lambda: rng.randint(1, 20) * 0.1,
+        lambda: rng.randint(1, 9) / 3,
+    )
+    graphs = [_weighted_numbered_graph(n, pairs, [w() for _ in pairs]) for n, pairs in shapes for w in schemes]
+    while len(graphs) < 130:
+        n = rng.randint(3, 40)
+        p = rng.uniform(0.05, 0.4)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        w = schemes[rng.randrange(3, 5)]
+        if pairs:
+            graphs.append(_weighted_numbered_graph(n, pairs, [w() for _ in pairs]))
+    # one non-integer weight per graph: gains tie in exact arithmetic, and the
+    # rounding of the community totals (each visit's leave-and-re-enter
+    # included) decides the tie
+    while len(graphs) < 330:
+        n = rng.randint(4, 14)
+        p = rng.uniform(0.15, 0.6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        if pairs:
+            graphs.append(_weighted_numbered_graph(n, pairs, [rng.choice((0.1, 0.3, 0.7, 1 / 3))] * len(pairs)))
+    return graphs
+
+
+def test_louvain_matches_reference():
+    # cached link sums and the explicit tie rule must give the reference's
+    # dendrogram, partitions and every Q bit included
+    graphs = _louvain_differential_graphs()
+    assert sum(connected_components(g).community_count > 1 for g in graphs) >= 20
+    assert sum(any(w != round(w) for _, _, w in g.edges()) for g in graphs) >= 250
+    for g in graphs:
+        assert louvain(g) == louvain_reference(g)
 
 
 # ---------------------------------------------------- partition compare

@@ -7,11 +7,13 @@ import pytest
 
 from commgraph.errors import GraphBuildError
 from commgraph.graph import (
+    Memo,
     NodeRecord,
     Partition,
     bfs_distances,
     build_graph,
     connected_components,
+    left_sum,
     shortest_paths,
 )
 from conftest import make_graph
@@ -22,6 +24,37 @@ INF = math.inf
 
 def records(*labels):
     return [NodeRecord(label=lab) for lab in labels]
+
+
+def test_left_sum_folds_left_to_right_without_compensation():
+    # compensated summation (math.fsum, and sum() from Python 3.12) gives 2.0 here
+    values = [1.0, 1e100, 1.0, -1e100]
+    assert math.fsum(values) == 2.0
+    assert left_sum(values) == 0.0
+    assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+
+def test_left_sum_starts_at_int_zero_like_sum():
+    assert left_sum([]) == 0 and type(left_sum([])) is int
+    assert type(left_sum([1, 2])) is int
+    assert left_sum([-0.0]) == 0.0 and math.copysign(1, left_sum([-0.0])) == 1
+
+
+def test_memo_computes_once_per_key_and_stores_no_failure():
+    calls = []
+
+    def square(x):
+        calls.append(x)
+        if x < 0:
+            raise KeyError(x)
+        return x * x
+
+    memo = Memo(square)
+    assert [memo[3], memo[3], memo[4]] == [9, 9, 16]
+    assert calls == [3, 4]
+    with pytest.raises(KeyError):
+        memo[-1]
+    assert -1 not in memo
 
 
 def test_duplicate_edges_collapse_by_summing_weights():

@@ -197,3 +197,35 @@ def test_alias_conflicting_targets_fatal(tmp_path):
     a = write(tmp_path, "a.csv", "variant,canonical\nNU,Northside University\nnu,North Uni\n")
     with pytest.raises(IngestError, match="conflicting"):
         parse_alias_csv(a)
+
+
+def test_alias_chain_resolves_transitively(tmp_path):
+    # A -> B and B -> C: all three spellings are one node, named C
+    a = write(tmp_path, "a.csv", "variant,canonical\nNU,Northside Univ\nNorthside Univ,Northside University\n")
+    assert parse_alias_csv(a) == {"nu": "Northside University", "northside univ": "Northside University"}
+    e = write(tmp_path, "e.csv", "source,target\nNU,City College\nNorthside Univ,Tech Institute\nNorthside University,City College\n")
+    g, log = load_dataset(e, alias_path=a)
+    assert sorted(g.labels) == ["City College", "Northside University", "Tech Institute"]
+    assert g.edge_count == 2
+    assert log.duplicates_collapsed == 1
+    assert ("NU", "Northside University") in log.labels_merged
+    assert ("Northside Univ", "Northside University") in log.labels_merged
+
+
+def test_alias_chain_ends_at_a_respelling(tmp_path):
+    # a variant that only re-cases its own label ends the chain and sets the spelling
+    a = write(tmp_path, "a.csv", "variant,canonical\nNU,northside university\nNorthside University,NORTHSIDE University\n")
+    assert parse_alias_csv(a) == {"nu": "NORTHSIDE University", "northside university": "NORTHSIDE University"}
+
+
+def test_alias_two_cycle_is_fatal(tmp_path):
+    # before chains were followed, A -> B and B -> A silently swapped the labels
+    a = write(tmp_path, "a.csv", "variant,canonical\nNU,Northside University\nnorthside  university,nu\n")
+    with pytest.raises(IngestError, match="alias cycle NU -> northside university -> NU"):
+        parse_alias_csv(a)
+
+
+def test_alias_longer_cycle_names_only_its_labels(tmp_path):
+    a = write(tmp_path, "a.csv", "variant,canonical\nA,B\nB,C\nC,D\nD,B\n")
+    with pytest.raises(IngestError, match=r"alias cycle B -> C -> D -> B$"):
+        parse_alias_csv(a)
