@@ -9,6 +9,7 @@ ties toward the smallest (min-id, max-id) endpoint pair.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ class AggregateGraph:
 
     A self-loop of weight w counts once toward intra-community weight and
     twice toward its node's degree, which keeps modularity invariant across
-    aggregation levels.
+    aggregation levels. It is not changed after construction, so its degree
+    list is computed once.
     """
 
     adjacency: list[dict[int, float]]
@@ -40,8 +42,9 @@ class AggregateGraph:
     def node_count(self) -> int:
         return len(self.adjacency)
 
+    @functools.cached_property
     def degrees(self) -> list[float]:
-        """Weighted degree of every node, a self-loop counting twice."""
+        """Weighted degree of every node, a self-loop counting twice; computed once."""
         return [left_sum(nbrs.values()) + 2 * loop for nbrs, loop in zip(self.adjacency, self.self_loops)]
 
     def total_weight(self) -> float:
@@ -56,7 +59,7 @@ def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
     count = max(assignment) + 1 if assignment else 0
     intra = [0.0] * count
     degree = [0.0] * count
-    for v, k in enumerate(agg.degrees()):
+    for v, k in enumerate(agg.degrees):
         c = assignment[v]
         degree[c] += k
         intra[c] += agg.self_loops[v]
@@ -127,7 +130,7 @@ def _local_sweep(agg: AggregateGraph, m: float) -> tuple[list[int], bool]:
     """
     n = agg.node_count
     community = list(range(n))
-    degree = agg.degrees()
+    degree = agg.degrees
     tot = degree[:]  # total weighted degree per community label
     two_m2 = 2 * m * m
     # links[v]: weight from v to each adjacent community (self-loops excluded),
