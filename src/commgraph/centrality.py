@@ -136,14 +136,15 @@ class _Sweep:
 def _pagerank_sweeps(g: Graph, damping: float, max_iter: int):
     """Yield successive sum-to-1 iterates with their L1 change."""
     n = g.node_count
+    degree = [g.degree(v) for v in range(n)]
     ranks = [1 / n] * n
     base = (1 - damping) / n
     for _ in range(max_iter):
-        dangling = left_sum(ranks[v] for v in range(n) if g.degree(v) == 0)
+        dangling = left_sum(ranks[v] for v in range(n) if degree[v] == 0)
         spread = damping * dangling / n
         nxt = [
-            base + spread + damping * left_sum(ranks[u] / g.degree(u) for u, _ in g.adjacency[v])
-            for v in range(n)
+            base + spread + damping * left_sum([ranks[u] / degree[u] for u in nbrs])
+            for nbrs in g.neighbor_ids
         ]
         residual = left_sum(abs(a - b) for a, b in zip(nxt, ranks))
         ranks = nxt

@@ -130,7 +130,7 @@ class Graph:
                     yield u, v, w
 
     def total_weight(self) -> float:
-        return left_sum(w for _, _, w in self.edges())
+        return sum(w for _, _, w in self.edges())
 
     def unweighted(self) -> Graph:
         """Skeleton copy with every edge weight reset to 1.0."""
