@@ -319,14 +319,14 @@ def _weighted_numbered_graph(n, pairs, weights):
     return g
 
 
-def _ring_of_cliques(k, s):
-    pairs = [(c * s + a, c * s + b) for c in range(k) for a in range(s) for b in range(a + 1, s)]
-    return pairs + [(c * s, ((c + 1) % k) * s + 1) for c in range(k)]
-
-
 def _louvain_differential_graphs():
     """Regular graphs and rings of cliques (tie-heavy), disconnected unions with
     isolates, and random graphs, under integer, tenth and third weights."""
+    from commgraph.synth import gen_ring_of_cliques
+
+    def ring(k, s):
+        return [(u, v) for u, v, _ in gen_ring_of_cliques(k, s)[0].edges()]
+
     rng = random.Random(2008)
     shapes = [(n, _cycle(n)) for n in (4, 6, 9, 16)]
     shapes += [(n, [(a, b) for a in range(n) for b in range(a + 1, n)]) for n in (4, 7)]  # complete
@@ -335,8 +335,8 @@ def _louvain_differential_graphs():
     shapes.append((6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3
     shapes += [(2 ** d, [(a, a ^ (1 << i)) for a in range(2 ** d) for i in range(d) if a < a ^ (1 << i)])
                for d in (3, 4)]  # hypercubes
-    shapes += [(k * s, _ring_of_cliques(k, s)) for k, s in ((3, 3), (4, 4), (6, 3), (5, 5))]
-    shapes.append((20, _cycle(6) + [(6 + a, 6 + b) for a, b in _ring_of_cliques(3, 3)]))  # plus 5 isolates
+    shapes += [(k * s, ring(k, s)) for k, s in ((3, 3), (4, 4), (6, 3), (5, 5))]
+    shapes.append((20, _cycle(6) + [(6 + a, 6 + b) for a, b in ring(3, 3)]))  # plus 5 isolates
     shapes.append((14, _cycle(4) + _cycle(5, base=4)))  # plus 5 isolates
     schemes = (
         lambda: 1.0,
