@@ -362,6 +362,15 @@ def _louvain_differential_graphs():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         if pairs:
             graphs.append(_weighted_numbered_graph(n, pairs, [rng.choice((0.1, 0.3, 0.7, 1 / 3))] * len(pairs)))
+    # found by random search: summing a node's link weights in any order but
+    # its neighbor order changes these dendrograms
+    for pairs, tenths in (
+        ([(0, 2), (0, 3), (0, 4), (0, 5), (1, 5), (1, 6), (1, 7), (2, 3),
+          (2, 4), (2, 5), (3, 5), (3, 6), (3, 7), (4, 5), (5, 6), (5, 7)], "3221232133221321"),
+        ([(0, 2), (0, 3), (0, 5), (0, 6), (1, 4), (1, 7), (2, 3), (2, 6),
+          (2, 7), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7), (5, 7)], "1233233331131232"),
+    ):
+        graphs.append(_weighted_numbered_graph(8, pairs, [int(t) / 10 for t in tenths]))
     return graphs
 
 
