@@ -314,18 +314,17 @@ def compare_partitions(a: Partition, b: Partition) -> dict:
         )
         nmi = 2 * info / (h_a + h_b)
         nmi = min(max(nmi, 0.0), 1.0)  # clamp float noise at the boundaries
-    return {"identical": a.canonical() == b.canonical(), "nmi": nmi}
+    return {"identical": a == b, "nmi": nmi}
 
 
 def partition_to_csv(labels, p: Partition) -> str:
     """`label,community` rows in canonical community ids, sorted by label."""
-    canon = p.canonical()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "community"])
     order = sorted(range(len(labels)), key=lambda v: (labels[v].casefold(), labels[v]))
     for v in order:
-        writer.writerow([labels[v], canon.assignment[v]])
+        writer.writerow([labels[v], p.assignment[v]])
     return buf.getvalue()
 
 

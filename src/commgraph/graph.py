@@ -129,9 +129,6 @@ class Graph:
                 if u < v:
                     yield u, v, w
 
-    def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges())
-
     def unweighted(self) -> Graph:
         """Skeleton copy with every edge weight reset to 1.0."""
         adjacency = tuple(tuple((n, 1.0) for n, _ in nbrs) for nbrs in self.adjacency)
@@ -142,8 +139,8 @@ class Graph:
 class Partition:
     """Total assignment of node ids to contiguous community ids.
 
-    Canonical form: community ids appear in order of their smallest member,
-    so two partitions with the same blocks compare equal.
+    Always in canonical form: community ids appear in order of their
+    smallest member, so two partitions with the same blocks compare equal.
     """
 
     assignment: tuple[int, ...]
@@ -160,10 +157,6 @@ class Partition:
             out.append(remap[lab])
         return cls(tuple(out), len(remap))
 
-    def canonical(self) -> Partition:
-        """Relabel community ids by order of smallest contained node id."""
-        return Partition.from_assignment(self.assignment)
-
     def communities(self) -> list[list[int]]:
         groups: list[list[int]] = [[] for _ in range(self.community_count)]
         for node, cid in enumerate(self.assignment):
@@ -171,9 +164,9 @@ class Partition:
         return groups
 
     def __post_init__(self):
-        seen = sorted(set(self.assignment)) if self.assignment else []
-        if seen != list(range(self.community_count)):
-            raise ValueError("community ids must be contiguous 0..community_count-1")
+        # first appearances 0, 1, 2, ... imply contiguous ids in canonical order
+        if list(dict.fromkeys(self.assignment)) != list(range(self.community_count)):
+            raise ValueError("community ids must be 0..community_count-1 in order of first appearance")
 
 
 def build_graph(records, edges) -> tuple[Graph, BuildCounts]:

@@ -1,13 +1,16 @@
 """CSV ingestion: parse, validate, and clean collaboration data into a Graph.
 
 File formats (all comma-separated, RFC-4180 quoting, UTF-8 with or without a
-byte-order mark):
+byte-order mark, LF, CRLF or CR line endings):
     edge CSV   header `source,target` or `source,target,weight`
     node CSV   header with `label` plus any of `kind`, `location`, `score`
     alias CSV  header `variant,canonical`
 
-Rows that cannot be interpreted are rejected individually and logged, never
-silently dropped; files whose header cannot be interpreted are fatal.
+Rows that cannot be interpreted are rejected individually and logged by
+logical CSV row number, never silently dropped; a row holding a byte that
+is not UTF-8 or a NUL byte is such a row. In the node and alias CSVs every
+bad row is fatal. A missing or unexpected header, a field longer than
+131072 characters, and a node label that is an alias variant are fatal.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,57 +58,73 @@ class CleaningLog:
         self.self_loops_dropped += counts.self_loops_dropped
 
 
-def _read_rows(path) -> list[tuple[int, list[str], str | None]]:
-    """Decode a CSV file into (row_no, fields, decode_error) tuples.
+# header specs: (the header as documented, a test of the stripped, case-folded header)
+_EDGE = ("source,target[,weight]", lambda h: h in (["source", "target"], ["source", "target", "weight"]))
+_NODE = (
+    "label[,kind][,location][,score]",
+    lambda h: "label" in h and len(set(h)) == len(h) and set(h) <= {"label", "kind", "location", "score"},
+)
+_ALIAS = ("variant,canonical", lambda h: h == ["variant", "canonical"])
 
-    Row numbers are logical CSV rows (header = 1). A leading UTF-8 byte-order
-    mark, as spreadsheet programs write, is dropped. On a clean UTF-8 file the
-    csv module handles quoted fields including embedded newlines; if the file
-    is not valid UTF-8 we fall back to per-line decoding so that only the
-    offending lines are rejected.
+# NUL becomes a lone surrogate that no decode yields (surrogateescape makes
+# U+DC80-U+DCFF): csv raises on NUL before Python 3.11 and keeps it after.
+_NUL = "\udc00"
+_MARK = re.compile("[\udc00\udc80-\udcff]")
+
+
+def _read_table(path, spec) -> tuple[list[str], list[tuple[int, list[str], str | None]]]:
+    """Decode a CSV file into its stripped, case-folded header and its (row_no, fields, error) rows.
+
+    Row numbers are logical CSV rows (header = 1); blank rows are skipped.
+    Rows holding a byte that is not UTF-8, or NUL, carry the error and do
+    not stop the rest of the file from parsing. A missing, undecodable or
+    unexpected header and a csv error such as an over-long field are fatal.
     """
+    form, accepts = spec
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8-sig")
+        marked = False
     except UnicodeDecodeError:
-        rows = []
-        for i, line in enumerate(raw.splitlines(), start=1):
-            try:
-                decoded = line.decode("utf-8-sig" if i == 1 else "utf-8")
-            except UnicodeDecodeError:
-                rows.append((i, [], "invalid UTF-8"))
-                continue
-            if decoded.strip() == "":
-                continue
-            rows.append((i, next(csv.reader([decoded])), None))
-        return rows
+        text = raw.decode("utf-8-sig", errors="surrogateescape")
+        marked = True
+    if "\x00" in text:
+        text = text.replace("\x00", _NUL)
+        marked = True
     rows = []
-    for i, fields in enumerate(csv.reader(io.StringIO(text)), start=1):
-        # blank row: most rows fail the first test, so the scan over all fields is rare
-        if not fields or (not fields[0].strip() and all(f.strip() == "" for f in fields)):
-            continue
-        rows.append((i, fields, None))
-    return rows
+    row_no = 0
+    try:
+        for row_no, fields in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            # blank row: most rows fail the first test, so the scan over all fields is rare
+            if not fields or (not fields[0].strip() and all(f.strip() == "" for f in fields)):
+                continue
+            error = None
+            if marked and (mark := _MARK.search("".join(fields))):
+                error = "NUL byte" if mark[0] == _NUL else "invalid UTF-8"
+            rows.append((row_no, fields, error))
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {row_no + 1}: {exc}") from None
+    if not rows:
+        raise IngestError(f"{path}: empty file, expected a {form} header")
+    header_no, header, error = rows[0]
+    if error is not None:
+        raise IngestError(f"{path}: line {header_no}: {error} in the header")
+    header = [h.strip().casefold() for h in header]
+    if not accepts(header):
+        raise IngestError(f"{path}: expected header {form}, got {','.join(header)!r}")
+    return header, rows[1:]
 
 
 def parse_edge_csv(path) -> tuple[list[RawEdgeRow], CleaningLog]:
     """Read an edge list; every data row becomes a RawEdgeRow or a rejection."""
-    rows = _read_rows(path)
-    if not rows:
-        raise IngestError(f"{path}: empty file, expected a source,target header")
-    header_no, header, err = rows[0]
-    if err is not None:
-        raise IngestError(f"{path}: header is not valid UTF-8")
-    header = [h.strip().casefold() for h in header]
-    if header not in (["source", "target"], ["source", "target", "weight"]):
-        raise IngestError(f"{path}: expected header source,target[,weight], got {','.join(header)!r}")
+    header, rows = _read_table(path, _EDGE)
     width = len(header)
     has_weight = width == 3
 
     log = CleaningLog()
     out: list[RawEdgeRow] = []
     labels = Memo(display_label)  # endpoints repeat: normalize each distinct string once
-    for line_no, fields, err in rows[1:]:
+    for line_no, fields, err in rows:
         if err is not None:
             log.rows_rejected.append((line_no, err))
             continue
@@ -135,24 +155,14 @@ def parse_edge_csv(path) -> tuple[list[RawEdgeRow], CleaningLog]:
 
 def parse_node_csv(path, log: CleaningLog | None = None) -> list[NodeRecord]:
     """Read node records; unknown kinds fall back to `other` with a warning."""
-    rows = _read_rows(path)
-    if not rows:
-        raise IngestError(f"{path}: empty file, expected a label[,kind][,location][,score] header")
-    _, header, err = rows[0]
-    if err is not None:
-        raise IngestError(f"{path}: header is not valid UTF-8")
-    header = [h.strip().casefold() for h in header]
-    allowed = {"label", "kind", "location", "score"}
-    unknown = [h for h in header if h not in allowed]
-    if unknown or "label" not in header or len(set(header)) != len(header):
-        raise IngestError(f"{path}: expected header label[,kind][,location][,score], got {','.join(header)!r}")
+    header, rows = _read_table(path, _NODE)
     col = {name: header.index(name) for name in header}
 
     records: list[NodeRecord] = []
     seen: dict[str, int] = {}  # canonical label -> line_no
-    for line_no, fields, err in rows[1:]:
+    for line_no, fields, err in rows:
         if err is not None:
-            raise IngestError(f"{path}: line {line_no} is not valid UTF-8")
+            raise IngestError(f"{path}: line {line_no}: {err}")
         if len(fields) != len(header):
             raise IngestError(f"{path}: line {line_no}: expected {len(header)} fields, got {len(fields)}")
 
@@ -199,19 +209,12 @@ def parse_alias_csv(path) -> dict[str, str]:
     differs from its variant only in case or spacing ends a chain: it sets
     the node's spelling.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise IngestError(f"{path}: empty file, expected a variant,canonical header")
-    _, header, err = rows[0]
-    if err is not None:
-        raise IngestError(f"{path}: header is not valid UTF-8")
-    if [h.strip().casefold() for h in header] != ["variant", "canonical"]:
-        raise IngestError(f"{path}: expected header variant,canonical")
+    _, rows = _read_table(path, _ALIAS)
     aliases: dict[str, str] = {}
     variants: dict[str, str] = {}  # canonical form -> the variant as first written
-    for line_no, fields, err in rows[1:]:
+    for line_no, fields, err in rows:
         if err is not None:
-            raise IngestError(f"{path}: line {line_no} is not valid UTF-8")
+            raise IngestError(f"{path}: line {line_no}: {err}")
         if len(fields) != 2 or not display_label(fields[0]) or not display_label(fields[1]):
             raise IngestError(f"{path}: line {line_no}: expected variant,canonical")
         key = canonical_label(fields[0])
@@ -247,7 +250,12 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
     records = parse_node_csv(node_path, log) if node_path is not None else []
     aliases = parse_alias_csv(alias_path) if alias_path is not None else {}
 
-    registry: dict[str, NodeRecord] = {canonical_label(r.label): r for r in records}
+    registry: dict[str, NodeRecord] = {}
+    for r in records:
+        key = canonical_label(r.label)
+        if key in aliases and canonical_label(aliases[key]) != key:  # it would stay an isolated ghost
+            raise IngestError(f"{node_path}: label {r.label!r} is an alias of {aliases[key]!r} in {alias_path}")
+        registry[key] = r
     merged: set[tuple[str, str]] = set()
 
     @Memo  # the result for a string never changes once its node is registered

@@ -94,12 +94,11 @@ def pearson_correlation_matrix(vectors: list[CentralityVector], method: str = "p
 
 
 def _node_rows(g: Graph, partition: Partition | None, scores):
-    canon = partition.canonical() if partition is not None else None
     for v in range(g.node_count):
         rec = g.records[v]
         row = {"label": rec.label, "kind": rec.kind, "location": rec.location, "score": rec.external_score}
-        if canon is not None:
-            row["community"] = canon.assignment[v]
+        if partition is not None:
+            row["community"] = partition.assignment[v]
         if scores:
             for vec in scores:
                 row[vec.measure] = vec.scores[v]
@@ -145,18 +144,16 @@ def export_gexf(g: Graph, partition: Partition | None = None, scores=None) -> st
 
 
 def export_dot(g: Graph, partition: Partition | None = None, scores=None) -> str:
-    canon = partition.canonical() if partition is not None else None
-
     def quote(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["graph collaboration {"]
-    if canon is not None:
+    if partition is not None:
         lines.append("  node [style=filled, colorscheme=set312];")
     for v in range(g.node_count):
         attrs = []
-        if canon is not None:
-            attrs.append(f"fillcolor={canon.assignment[v] % 12 + 1}")
+        if partition is not None:
+            attrs.append(f"fillcolor={partition.assignment[v] % 12 + 1}")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {quote(g.labels[v])}{suffix};")
     for u, v, w in g.edges():
@@ -314,7 +311,6 @@ def report_to_json(report: AnalysisReport) -> str:
         {"label": labels[v], **{m: report.vectors[m].scores[v] for m in MEASURES}}
         for v in order
     ]
-    canon = report.partition.canonical()
     payload = {
         "metrics": {
             "node_count": report.metrics.node_count,
@@ -332,11 +328,11 @@ def report_to_json(report: AnalysisReport) -> str:
             "top_k": {m: [[lab, s] for lab, s in report.top_k[m]] for m in MEASURES},
         },
         "communities": {
-            "count": canon.community_count,
+            "count": report.partition.community_count,
             "louvain_q": report.louvain_q,
             "q_per_level": list(report.q_per_level),
             "gn_best_q": report.gn_best_q,
-            "assignment": {labels[v]: canon.assignment[v] for v in range(g.node_count)},
+            "assignment": {labels[v]: report.partition.assignment[v] for v in range(g.node_count)},
         },
         "correlation": {
             "measures": list(MEASURES),

@@ -226,9 +226,15 @@ def test_partition_canonical_relabeling():
     p = Partition.from_assignment([2, 2, 0, 1, 0])
     assert p.assignment == (0, 0, 1, 2, 1)
     assert p.community_count == 3
-    assert p.canonical() == p
+    assert Partition.from_assignment(p.assignment) == p
 
 
 def test_partition_rejects_gappy_ids():
     with pytest.raises(ValueError):
         Partition((0, 2), 3)
+
+
+def test_partition_rejects_non_canonical_ids():
+    # contiguous, but community 1 holds the smallest node
+    with pytest.raises(ValueError, match="first appearance"):
+        Partition((1, 0), 2)

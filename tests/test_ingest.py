@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from commgraph.errors import IngestError
@@ -229,3 +231,83 @@ def test_alias_longer_cycle_names_only_its_labels(tmp_path):
     a = write(tmp_path, "a.csv", "variant,canonical\nA,B\nB,C\nC,D\nD,B\n")
     with pytest.raises(IngestError, match=r"alias cycle B -> C -> D -> B$"):
         parse_alias_csv(a)
+
+
+PARSERS = {"edge": parse_edge_csv, "node": parse_node_csv, "alias": parse_alias_csv}
+
+
+@pytest.mark.parametrize("kind", PARSERS)
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"", "empty file, expected a"),
+        (b"\n \n,\n", "empty file, expected a"),
+        (b"sou\xffrce,target\nA,B\n", "line 1: invalid UTF-8 in the header"),
+        (b"\nlabel\x00\nA\n", "line 2: NUL byte in the header"),
+        (b"from,to,weight,extra\nA,B,1,2\n", "expected header .*, got 'from,to,weight,extra'"),
+    ],
+    ids=["empty", "blank", "undecodable", "nul", "unexpected"],
+)
+def test_unusable_header_is_fatal_in_every_csv(tmp_path, kind, data, message):
+    p = tmp_path / f"{kind}.csv"
+    p.write_bytes(data)
+    with pytest.raises(IngestError, match=f"^{re.escape(str(p))}: {message}"):
+        PARSERS[kind](p)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_every_line_ending_is_accepted(tmp_path, eol):
+    # CR-only endings used to escape as a csv error, exit 2
+    p = tmp_path / "e.csv"
+    p.write_bytes(eol.join(["source,target", "A,B", '"C', 'D",E', ""]).encode())
+    rows, log = parse_edge_csv(p)
+    assert [(r.source_label, r.target_label, r.line_no) for r in rows] == [("A", "B", 2), ("C D", "E", 3)]
+    assert log.rows_rejected == []
+
+
+def test_field_over_csv_limit_is_fatal_naming_the_row(tmp_path):
+    # used to escape as a csv error, exit 2
+    p = tmp_path / "e.csv"
+    p.write_text("source,target\nA,B\nA," + "x" * 131073 + "\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=rf"^{re.escape(str(p))}: line 3: field larger than field limit \(131072\)$"):
+        parse_edge_csv(p)
+
+
+def test_nul_row_is_rejected_on_every_python(tmp_path):
+    # Python 3.10's csv raised on NUL (exit 2); 3.11+ kept it inside the label
+    p = tmp_path / "e.csv"
+    p.write_bytes(b'source,target\nA,B\x00\n"B\nC",D\nC,E\n')
+    rows, log = parse_edge_csv(p)
+    assert [(r.source_label, r.target_label) for r in rows] == [("B C", "D"), ("C", "E")]
+    assert log.rows_rejected == [(2, "NUL byte")]
+
+
+def test_invalid_utf8_row_leaves_quoted_newlines_intact(tmp_path):
+    # the old per-line fallback for such files cut `"C<LF>D"` in two and made a node `D"`
+    p = tmp_path / "e.csv"
+    p.write_bytes(b'source,target\nA,B\n"C\nD",E\n\xff,x\n"F\xff\nG",H\n')
+    rows, log = parse_edge_csv(p)
+    assert [(r.source_label, r.target_label, r.line_no) for r in rows] == [("A", "B", 2), ("C D", "E", 3)]
+    assert log.rows_rejected == [(4, "invalid UTF-8"), (5, "invalid UTF-8")]
+
+
+@pytest.mark.parametrize("kind, header", [("node", b"label,kind"), ("alias", b"variant,canonical")], ids=["node", "alias"])
+@pytest.mark.parametrize("bad, reason", [(b"\xff", "invalid UTF-8"), (b"\x00", "NUL byte")], ids=["undecodable", "nul"])
+def test_undecodable_row_is_fatal_in_node_and_alias_csv(tmp_path, kind, header, bad, reason):
+    p = tmp_path / f"{kind}.csv"
+    p.write_bytes(header + b'\nA,B\n"C\nD",E\nF' + bad + b",G\n")
+    with pytest.raises(IngestError, match=f"^{re.escape(str(p))}: line 4: {reason}$"):
+        PARSERS[kind](p)
+
+
+def test_node_label_that_is_an_alias_variant_is_fatal(tmp_path):
+    # it used to stay in the graph as an isolated node while its edges went to the target
+    e = write(tmp_path, "e.csv", "source,target\nNU,City College\n")
+    n = write(tmp_path, "n.csv", "label\nNU\nNorthside University\nCity College\n")
+    a = write(tmp_path, "a.csv", "variant,canonical\nnu,Northside University\n")
+    with pytest.raises(IngestError, match=r"label 'NU' is an alias of 'Northside University'"):
+        load_dataset(e, n, a)
+    # an alias that only re-spells a node's own label is not a conflict
+    a.write_text("variant,canonical\nnorthside university,NORTHSIDE University\n", encoding="utf-8")
+    g, _ = load_dataset(e, n, a)
+    assert g.labels == ("City College", "Northside University", "NU")
