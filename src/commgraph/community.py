@@ -187,10 +187,12 @@ def louvain(g: Graph) -> Dendrogram:
     qs: list[float] = []
     while True:
         assignment, moved = _local_sweep(agg, m)
+        if levels and not moved:  # the level would repeat the last one
+            break
         local = Partition.from_assignment(assignment)
         projected = Partition.from_assignment([local.assignment[node_map[v]] for v in range(g.node_count)])
         q = _modularity_kernel(original, projected.assignment)
-        if levels and (not moved or q - qs[-1] < _GAIN_EPS):
+        if levels and q - qs[-1] < _GAIN_EPS:
             break
         levels.append(projected)
         qs.append(q)
@@ -203,34 +205,51 @@ def louvain(g: Graph) -> Dendrogram:
 
 def edge_betweenness(g: Graph) -> dict[tuple[int, int], float]:
     """Per-edge shortest-path betweenness over unordered node pairs."""
-    scores: dict[tuple[int, int], float] = {}
-    _edge_dependencies(g.neighbor_ids, range(g.node_count), scores)
-    return {e: x / 2 for e, x in scores.items()}
+    ends, index = _edge_index(g)
+    scores = [0.0] * len(ends)
+    _edge_dependencies(g.neighbor_ids, index, range(g.node_count), scores)
+    return {e: x / 2 for e, x in zip(ends, scores)}
 
 
-def _edge_dependencies(adjacency, sources, scores: dict[tuple[int, int], float]) -> None:
+def _edge_index(g: Graph) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:
+    """Number the edges in (min-id, max-id) order, which is `g.edges()` order.
+
+    Returns (ends, index): `ends[k]` is edge k as (u, v) with u < v, and
+    `index[u][v] == index[v][u] == k`. A lower number means a smaller pair.
+    """
+    ends: list[tuple[int, int]] = []
+    index: list[dict[int, int]] = [{} for _ in range(g.node_count)]
+    for u, nbrs in enumerate(g.neighbor_ids):
+        for v in nbrs:
+            if u < v:
+                index[u][v] = index[v][u] = len(ends)
+                ends.append((u, v))
+    return ends, index
+
+
+def _edge_dependencies(adjacency, index, sources, scores: list[float]) -> None:
     """Reset the edges of `sources` in `scores`, then add their Brandes dependencies.
 
-    `sources` must be whole components in ascending id order. An edge only
-    gains dependency from sources in its own component, so each edge's sum
-    then has the same terms in the same order as a run over all nodes, and
-    edges outside `sources` keep their scores.
+    `scores` is indexed by edge number (`_edge_index`). `sources` must be
+    whole components in ascending id order. An edge only gains dependency
+    from sources in its own component, so each edge's sum then has the same
+    terms in the same order as a run over all nodes, and edges outside
+    `sources` keep their scores.
     """
     n = len(adjacency)
     for u in sources:
         for v in adjacency[u]:
-            if u < v:
-                scores[(u, v)] = 0.0
+            scores[index[u][v]] = 0.0
     for s in sources:
         order, _, sigma, preds = shortest_paths(adjacency, s)
         delta = [0.0] * n
         while order:
             w = order.pop()
             coeff = (1 + delta[w]) / sigma[w]
+            edge = index[w]
             for v in preds[w]:
                 contribution = sigma[v] * coeff
-                key = (v, w) if v < w else (w, v)
-                scores[key] += contribution
+                scores[edge[v]] += contribution
                 delta[v] += contribution
 
 
@@ -252,34 +271,45 @@ def girvan_newman(g: Graph) -> GNTrace:
 
     Candidate partitions are the connected components of the pruned graph;
     their modularity is always evaluated on the original graph. The earliest
-    maximum wins.
+    maximum wins. A removal that splits nothing keeps the partition, so its
+    Q is the previous Q: components are labelled once, and Q is evaluated
+    once plus once per split.
     """
     if g.edge_count == 0:
         raise UndefinedModularityError("modularity is undefined with zero total edge weight")
     original = AggregateGraph.from_graph(g)
     adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
+    ends, index = _edge_index(g)
 
-    best_partition = components(adjacency)
-    best_q = _modularity_kernel(original, best_partition.assignment)
+    part = components(adjacency)
+    q = _modularity_kernel(original, part.assignment)
+    best_partition, best_q = part, q
     removals: list[tuple[tuple[int, int], float]] = []
-    # unhalved edge betweenness; halving is exact, so the argmax is the same
-    scores: dict[tuple[int, int], float] = {}
-    _edge_dependencies(adjacency, range(g.node_count), scores)
-    while scores:
-        target = min(scores, key=lambda e: (-scores[e], e))
-        u, v = target
+    # unhalved edge betweenness by edge number; halving is exact, so the argmax is the same
+    scores = [0.0] * len(ends)
+    _edge_dependencies(adjacency, index, range(g.node_count), scores)
+    for _ in ends:
+        # the first maximum has the smallest (u, v): ties go to the smallest pair
+        k = scores.index(max(scores))
+        u, v = ends[k]
         adjacency[u].remove(v)
         adjacency[v].remove(u)
-        del scores[target]
-        part = components(adjacency)
-        q = _modularity_kernel(original, part.assignment)
-        removals.append((target, q))
+        scores[k] = -math.inf
+        reach, dist, _, _ = shortest_paths(adjacency, u)
+        if dist[v] == math.inf:
+            # the removal split u's component: v's side becomes a new community
+            split = shortest_paths(adjacency, v)[0]
+            label = list(part.assignment)
+            for w in split:
+                label[w] = part.community_count
+            part = Partition.from_assignment(label)
+            q = _modularity_kernel(original, part.assignment)
+            reach += split
+        removals.append(((u, v), q))
         if q > best_q:
             best_partition, best_q = part, q
         # only the component(s) that held the removed edge changed
-        touched = {part.assignment[u], part.assignment[v]}
-        sources = [s for s, c in enumerate(part.assignment) if c in touched]
-        _edge_dependencies(adjacency, sources, scores)
+        _edge_dependencies(adjacency, index, sorted(reach), scores)
     return GNTrace(tuple(removals), best_partition, best_q)
 
 

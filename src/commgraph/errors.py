@@ -6,7 +6,16 @@ class CommGraphError(Exception):
 
 
 class GraphBuildError(CommGraphError):
-    """Raised when edge/node inputs cannot form a valid graph."""
+    """Raised when edge/node inputs cannot form a valid graph.
+
+    Attributes:
+        edge: 1-based position of the edge whose weight overflowed its
+            collapsed sum, else None.
+    """
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class IngestError(CommGraphError):

@@ -172,8 +172,8 @@ class Partition:
 def build_graph(records, edges) -> tuple[Graph, BuildCounts]:
     """Assemble a Graph from node records and (label, label[, weight]) pairs.
 
-    Parallel edges collapse by summing weights; self-loops are dropped and
-    counted. Endpoint labels are matched by canonical form and must resolve
+    Parallel edges collapse by summing weights, and a sum that overflows to
+    inf is an error; self-loops are dropped and counted. Endpoint labels are matched by canonical form and must resolve
     to a record.
     """
     records = tuple(records)
@@ -212,6 +212,8 @@ def build_graph(records, edges) -> tuple[Graph, BuildCounts]:
         if pair in weights:
             weights[pair] += w
             counts.duplicates_collapsed += 1
+            if weights[pair] == INF:
+                raise GraphBuildError(f"edge {pos}: collapsed weight of {src!r} and {dst!r} overflows", edge=pos)
         else:
             weights[pair] = w
 

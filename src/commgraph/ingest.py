@@ -8,8 +8,10 @@ byte-order mark, LF, CRLF or CR line endings):
 
 Rows that cannot be interpreted are rejected individually and logged by
 logical CSV row number, never silently dropped; a row holding a byte that
-is not UTF-8 or a NUL byte is such a row. In the node and alias CSVs every
-bad row is fatal. A missing or unexpected header, a field longer than
+is not UTF-8, a NUL byte, or a character that XML 1.0 cannot carry
+(U+0001-U+0008, U+000E-U+001B, U+FFFE, U+FFFF; the other C0 controls are
+whitespace, which labels collapse) is such a row. In the node and alias
+CSVs every bad row is fatal. A missing or unexpected header, a field longer than
 131072 characters, and a node label that is an alias variant are fatal.
 """
 
@@ -22,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import IngestError
+from .errors import GraphBuildError, IngestError
 from .graph import (
     INSTITUTION_KINDS,
     BuildCounts,
@@ -69,28 +71,34 @@ _ALIAS = ("variant,canonical", lambda h: h == ["variant", "canonical"])
 # NUL becomes a lone surrogate that no decode yields (surrogateescape makes
 # U+DC80-U+DCFF): csv raises on NUL before Python 3.11 and keeps it after.
 _NUL = "\udc00"
-_MARK = re.compile("[\udc00\udc80-\udcff]")
+_MARK = re.compile("[\udc00\udc80-\udcff\x01-\x08\x0e-\x1b\ufffe\uffff]")
+
+
+def _row_error(mark: str) -> str:
+    if mark == _NUL:
+        return "NUL byte"
+    if "\udc80" <= mark <= "\udcff":
+        return "invalid UTF-8"
+    return f"control character U+{ord(mark):04X}"
 
 
 def _read_table(path, spec) -> tuple[list[str], list[tuple[int, list[str], str | None]]]:
     """Decode a CSV file into its stripped, case-folded header and its (row_no, fields, error) rows.
 
     Row numbers are logical CSV rows (header = 1); blank rows are skipped.
-    Rows holding a byte that is not UTF-8, or NUL, carry the error and do
-    not stop the rest of the file from parsing. A missing, undecodable or
-    unexpected header and a csv error such as an over-long field are fatal.
+    Rows holding a byte that is not UTF-8, NUL, or a control character
+    carry the error and do not stop the rest of the file from parsing. A
+    missing, undecodable or unexpected header and a csv error such as an
+    over-long field are fatal.
     """
     form, accepts = spec
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8-sig")
-        marked = False
     except UnicodeDecodeError:
         text = raw.decode("utf-8-sig", errors="surrogateescape")
-        marked = True
-    if "\x00" in text:
-        text = text.replace("\x00", _NUL)
-        marked = True
+    text = text.replace("\x00", _NUL)
+    marked = _MARK.search(text) is not None  # most files hold no bad character
     rows = []
     row_no = 0
     try:
@@ -100,7 +108,7 @@ def _read_table(path, spec) -> tuple[list[str], list[tuple[int, list[str], str |
                 continue
             error = None
             if marked and (mark := _MARK.search("".join(fields))):
-                error = "NUL byte" if mark[0] == _NUL else "invalid UTF-8"
+                error = _row_error(mark[0])
             rows.append((row_no, fields, error))
     except csv.Error as exc:
         raise IngestError(f"{path}: line {row_no + 1}: {exc}") from None
@@ -244,7 +252,8 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
 
     Nodes appearing only in the edge file are synthesized with kind `other`.
     Node ids are assigned in canonical-label order, so identical input bytes
-    always produce the identical graph.
+    always produce the identical graph. A row whose weight makes its pair's
+    collapsed weight overflow is fatal.
     """
     edge_rows, log = parse_edge_csv(edge_path)
     records = parse_node_csv(node_path, log) if node_path is not None else []
@@ -275,7 +284,16 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
     resolved = [(resolve[r.source_label], resolve[r.target_label], r.weight) for r in edge_rows]
 
     ordered = [registry[key] for key in sorted(registry)]  # keys are the canonical labels
-    graph, counts = build_graph(ordered, resolved)
+    try:
+        graph, counts = build_graph(ordered, resolved)
+    except GraphBuildError as exc:
+        if exc.edge is None:
+            raise
+        row = edge_rows[exc.edge - 1]
+        raise IngestError(
+            f"{edge_path}: line {row.line_no}: weight {row.weight!r} makes the collapsed weight of "
+            f"{row.source_label!r} and {row.target_label!r} overflow"
+        ) from None
     log.absorb(counts)
     log.labels_merged = sorted(merged)
     return graph, log

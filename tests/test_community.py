@@ -313,6 +313,66 @@ def test_girvan_newman_matches_full_recompute():
         assert girvan_newman(g) == girvan_newman_full_recompute(g)
 
 
+def _count_calls(monkeypatch, module, names):
+    """Wrap `module.<name>` for each name; returns the live call counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(module, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def _component_of(adjacency, s):
+    seen, stack = {s}, [s]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def test_girvan_newman_work_is_pinned(monkeypatch):
+    # labels components once, evaluates Q once plus once per split, and runs
+    # one reach BFS per removal (two on a split) plus one per recomputed source
+    import commgraph.community as community_module
+    from commgraph.synth import gen_planted_partition
+
+    g, _ = gen_planted_partition(3, 10, 0.3, 0.02, seed=5)
+    oracle = girvan_newman_full_recompute(g)
+    adjacency = [set(nbrs) for nbrs in g.neighbor_ids]
+    splits, bfs = 0, g.node_count
+    for (u, v), _ in oracle.removals:
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+        side = _component_of(adjacency, u)
+        if v in side:
+            bfs += 1 + len(side)
+        else:
+            splits += 1
+            bfs += 2 + len(side) + len(_component_of(adjacency, v))
+    assert splits == g.node_count - 1  # the planted graph is connected
+
+    counts = _count_calls(monkeypatch, community_module, ["components", "_modularity_kernel", "shortest_paths"])
+    assert girvan_newman(g) == oracle
+    assert counts == {"components": 1, "_modularity_kernel": 1 + splits, "shortest_paths": bfs}
+
+
+def test_louvain_evaluates_no_q_for_a_level_that_moved_nothing(monkeypatch):
+    import commgraph.community as community_module
+    from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
+
+    counts = _count_calls(monkeypatch, community_module, ["_modularity_kernel"])
+    for g in (gen_ring_of_cliques(6, 4)[0], gen_planted_partition(3, 10, 0.3, 0.02, seed=5)[0]):
+        counts["_modularity_kernel"] = 0
+        d = louvain(g)
+        # one Q per kept level: the last sweep moved no node, so nothing was projected
+        assert counts["_modularity_kernel"] == len(d.levels)
+        assert d == louvain_reference(g)
+
+
 def _weighted_numbered_graph(n, pairs, weights):
     records = [NodeRecord(label=f"n{i}") for i in range(n)]
     g, _ = build_graph(records, [(f"n{u}", f"n{v}", w) for (u, v), w in zip(pairs, weights)])

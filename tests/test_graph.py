@@ -101,6 +101,12 @@ def test_nonpositive_weight_rejected():
         build_graph(records("A", "B"), [("A", "B", 0.0)])
 
 
+def test_collapsed_weight_overflow_rejected_naming_the_edge():
+    with pytest.raises(GraphBuildError, match=r"^edge 3: collapsed weight of 'B' and 'A' overflows$") as exc:
+        build_graph(records("A", "B"), [("A", "B", 1e308), ("A", "A", 1e308), ("B", "A", 1e308)])
+    assert exc.value.edge == 3
+
+
 def test_adjacency_is_symmetric_and_sorted():
     g = make_graph(5, [(3, 1), (4, 0), (2, 0), (1, 0)])
     for u, nbrs in enumerate(g.adjacency):

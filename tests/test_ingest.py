@@ -311,3 +311,32 @@ def test_node_label_that_is_an_alias_variant_is_fatal(tmp_path):
     a.write_text("variant,canonical\nnorthside university,NORTHSIDE University\n", encoding="utf-8")
     g, _ = load_dataset(e, n, a)
     assert g.labels == ("City College", "Northside University", "NU")
+
+
+@pytest.mark.parametrize("char", ["\x01", "\x08", "\x0e", "\x1b", "￾", "￿"], ids=repr)
+def test_row_with_a_character_xml_cannot_carry_is_rejected(tmp_path, char):
+    # such a label used to reach the GEXF export, which wrote XML no parser accepts
+    p = tmp_path / "e.csv"
+    p.write_bytes(f'source,target\nA{char}x,B\n"C\nD",E\nF,G\x1c\tH\n'.encode())
+    rows, log = parse_edge_csv(p)
+    assert [(r.source_label, r.target_label, r.line_no) for r in rows] == [("C D", "E", 3), ("F", "G H", 4)]
+    assert log.rows_rejected == [(2, f"control character U+{ord(char):04X}")]
+
+
+@pytest.mark.parametrize("kind, header", [("node", b"label,location"), ("alias", b"variant,canonical")], ids=["node", "alias"])
+def test_control_character_is_fatal_in_node_and_alias_csv(tmp_path, kind, header):
+    p = tmp_path / f"{kind}.csv"
+    p.write_bytes(header + b"\nA,B\nC,D\x01\n")
+    with pytest.raises(IngestError, match=f"^{re.escape(str(p))}: line 3: control character U\\+0001$"):
+        PARSERS[kind](p)
+
+
+def test_collapsed_weight_overflow_is_fatal_naming_the_row(tmp_path):
+    # the pair used to collapse to an inf weight, which only the JSON export refused
+    e = write(tmp_path, "e.csv", "source,target,weight\nA,B,1e308\nC,D,1\nb,a,1e308\n")
+    with pytest.raises(IngestError, match=rf"^{re.escape(str(e))}: line 4: weight 1e\+308 makes the collapsed weight of 'b' and 'a' overflow$"):
+        load_dataset(e)
+    e.write_text("source,target,weight\nA,B,1e308\nb,a,7e307\n", encoding="utf-8")
+    g, log = load_dataset(e)
+    assert list(g.edges()) == [(0, 1, 1.7e308)]
+    assert log.duplicates_collapsed == 1

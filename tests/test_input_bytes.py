@@ -1,13 +1,18 @@
 """Property test: whatever bytes the input CSVs hold, the CLI exits 0 or 1.
 
 Exit 2 means an internal error escaped, so malformed input must never reach
-it. The pieces are biased toward what CSV parsing and UTF-8 decoding treat
-specially (quotes, CR and LF, NUL, stray high bytes, a byte-order mark), so
-a derandomized run finds the interesting files in a few hundred examples.
+it, and exit 0 must mean the written GEXF is well-formed XML. The pieces are
+biased toward what CSV parsing, UTF-8 decoding and XML treat specially
+(quotes, CR and LF, NUL, control characters, U+FFFF, stray high bytes, a
+byte-order mark), so a derandomized run finds the interesting files in a few
+hundred examples.
 Hypothesis is in the `test` extra only; without it this module skips.
 """
 
 from __future__ import annotations
+
+import csv
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -22,8 +27,8 @@ HEADERS = {
     "aliases": [b"variant,canonical"],
 }
 PIECES = [
-    b"A", b"b", b"NU", b" ", b",", b'"', b"\n", b"\r", b"\r\n", b"\x00", b"\xff", b"\xc3\xa9",
-    b"\xef\xbb\xbf", b"1", b"-2", b"2.5", b"nan", b"public",
+    b"A", b"b", b"NU", b" ", b",", b'"', b"\n", b"\r", b"\r\n", b"\x00", b"\x01", b"\x1b",
+    b"\xef\xbf\xbf", b"\xff", b"\xc3\xa9", b"\xef\xbb\xbf", b"1", b"-2", b"2.5", b"nan", b"public",
 ]
 
 
@@ -42,13 +47,15 @@ def csv_bytes(headers):
     suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
 )
 @hypothesis.given(
-    command=st.sampled_from([["communities"], ["analyze"], ["export", "--format", "gexf"]]),
+    command=st.sampled_from(["communities", "analyze", "export"]),
     edges=csv_bytes(HEADERS["edges"]),
     nodes=st.none() | csv_bytes(HEADERS["nodes"]),
     aliases=st.none() | csv_bytes(HEADERS["aliases"]),
 )
 def test_any_input_bytes_exit_0_or_1(tmp_path, capsys, command, edges, nodes, aliases):
-    argv = [*command]
+    gexf = tmp_path / "graph.gexf"
+    gexf.unlink(missing_ok=True)
+    argv = ["export", "--format", "gexf", "--out", str(gexf)] if command == "export" else [command]
     for name, data in (("edges", edges), ("nodes", nodes), ("aliases", aliases)):
         if data is not None:
             path = tmp_path / f"{name}.csv"
@@ -57,3 +64,31 @@ def test_any_input_bytes_exit_0_or_1(tmp_path, capsys, command, edges, nodes, al
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc in (0, 1), err
+    if rc == 0 and command == "export":
+        ET.parse(gexf)  # raises on XML that is not well-formed
+
+
+@hypothesis.settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@hypothesis.given(
+    labels=st.lists(st.text(max_size=4), min_size=2, max_size=6),
+    locations=st.lists(st.text(max_size=4), max_size=6),
+)
+def test_any_label_text_gives_well_formed_gexf_or_exit_1(tmp_path, capsys, labels, locations):
+    edges = tmp_path / "edges.csv"
+    nodes = tmp_path / "nodes.csv"
+    gexf = tmp_path / "graph.gexf"
+    gexf.unlink(missing_ok=True)
+    with edges.open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([["source", "target"], *zip(labels, labels[1:])])
+    with nodes.open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([["label", "location"], *zip(labels, locations)])
+    rc = main(["export", "--edges", str(edges), "--nodes", str(nodes), "--format", "gexf", "--out", str(gexf)])
+    err = capsys.readouterr().err
+    assert rc in (0, 1), err
+    if rc == 0:
+        ET.parse(gexf)  # raises on XML that is not well-formed
