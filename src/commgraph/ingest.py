@@ -71,7 +71,9 @@ _ALIAS = ("variant,canonical", lambda h: h == ["variant", "canonical"])
 # NUL becomes a lone surrogate that no decode yields (surrogateescape makes
 # U+DC80-U+DCFF): csv raises on NUL before Python 3.11 and keeps it after.
 _NUL = "\udc00"
-_MARK = re.compile("[\udc00\udc80-\udcff\x01-\x08\x0e-\x1b\ufffe\uffff]")
+# characters XML 1.0 cannot carry that `display_label` does not turn into spaces
+_CONTROL = "".join(map(chr, [*range(0x01, 0x09), *range(0x0E, 0x1C), 0xFFFE, 0xFFFF]))
+_MARK = re.compile(f"[{_NUL}\udc80-\udcff{_CONTROL}]")
 
 
 def _row_error(mark: str) -> str:
@@ -95,10 +97,13 @@ def _read_table(path, spec) -> tuple[list[str], list[tuple[int, list[str], str |
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8-sig")
+        escaped = False
     except UnicodeDecodeError:
         text = raw.decode("utf-8-sig", errors="surrogateescape")
+        escaped = True
     text = text.replace("\x00", _NUL)
-    marked = _MARK.search(text) is not None  # most files hold no bad character
+    # one substring test per character costs far less than a regex search over the whole text
+    marked = escaped or any(c in text for c in _NUL + _CONTROL)
     rows = []
     row_no = 0
     try:
