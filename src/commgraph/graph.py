@@ -173,8 +173,8 @@ def build_graph(records, edges) -> tuple[Graph, BuildCounts]:
     """Assemble a Graph from node records and (label, label[, weight]) pairs.
 
     Parallel edges collapse by summing weights, and a sum that overflows to
-    inf is an error; self-loops are dropped and counted. Endpoint labels are matched by canonical form and must resolve
-    to a record.
+    inf is an error; self-loops are dropped and counted. Endpoint labels are
+    matched by canonical form and must resolve to a record.
     """
     records = tuple(records)
     index: dict[str, int] = {}

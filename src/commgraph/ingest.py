@@ -11,8 +11,9 @@ logical CSV row number, never silently dropped; a row holding a byte that
 is not UTF-8, a NUL byte, or a character that XML 1.0 cannot carry
 (U+0001-U+0008, U+000E-U+001B, U+FFFE, U+FFFF; the other C0 controls are
 whitespace, which labels collapse) is such a row. In the node and alias
-CSVs every bad row is fatal. A missing or unexpected header, a field longer than
-131072 characters, and a node label that is an alias variant are fatal.
+CSVs every bad row is fatal. A missing or unexpected header, a field longer
+than 131072 characters, a node label that is an alias variant, and duplicate
+rows whose weights sum to inf are fatal.
 """
 
 from __future__ import annotations
