@@ -5,15 +5,14 @@ metrics in `metrics`) share one BFS per source: `Graph.path_sweep` runs
 `graph.shortest_paths` from every node once, caches what all four need, and
 each consumer only normalizes its part.
 
-Conventions (all for undirected unweighted traversal):
-    degree       raw deg(v); normalized deg(v)/(N-1)
-    betweenness  Brandes accumulation over unordered pairs; normalized by
+Conventions (all for undirected unweighted traversal, all normalized):
+    degree       deg(v)/(N-1)
+    betweenness  Brandes accumulation over unordered pairs, divided by
                  (N-1)(N-2)/2
-    closeness    raw 1/sum(d); normalized Wasserman-Faust component scaling
+    closeness    Wasserman-Faust component scaling
                  ((n_c-1)/sum(d)) * ((n_c-1)/(N-1))
-    harmonic     raw sum(1/d); normalized by (N-1)
-    pagerank     damped random-walk fixed point; normalized form sums to 1,
-                 raw form is exactly N times larger (constant (1-d) term)
+    harmonic     sum(1/d)/(N-1)
+    pagerank     damped random-walk fixed point, summing to 1
 """
 
 from __future__ import annotations
@@ -31,43 +30,39 @@ logger = logging.getLogger(__name__)
 
 MEASURES = ("degree", "betweenness", "closeness", "harmonic", "pagerank")
 
-INF = math.inf
+# PageRank stops once the L1 change between iterates falls below PAGERANK_TOL
+PAGERANK_TOL = 1e-9
+PAGERANK_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class CentralityVector:
     measure: str
     scores: tuple[float, ...]
-    normalized: bool
 
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
 
 
-def degree_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
+def degree_centrality(g: Graph) -> CentralityVector:
     n = g.node_count
-    if normalized:
-        if n < 2:
-            raise DegenerateGraphError("normalized degree needs at least 2 nodes")
-        scores = tuple(g.degree(v) / (n - 1) for v in range(n))
-    else:
-        scores = tuple(float(g.degree(v)) for v in range(n))
-    return CentralityVector("degree", scores, normalized)
+    if n < 2:
+        raise DegenerateGraphError("normalized degree needs at least 2 nodes")
+    return CentralityVector("degree", tuple(g.degree(v) / (n - 1) for v in range(n)))
 
 
-def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
+def betweenness_centrality(g: Graph) -> CentralityVector:
     """Brandes single-source accumulation; never enumerates paths."""
     n = g.node_count
+    denom = (n - 1) * (n - 2) / 2
+    if denom <= 0:
+        return CentralityVector("betweenness", (0.0,) * n)
     # each unordered pair is counted from both endpoints
-    scores = [x / 2 for x in g.path_sweep.dependency]
-    if normalized:
-        denom = (n - 1) * (n - 2) / 2
-        scores = [x / denom for x in scores] if denom > 0 else [0.0] * n
-    return CentralityVector("betweenness", tuple(scores), normalized)
+    return CentralityVector("betweenness", tuple(x / 2 / denom for x in g.path_sweep.dependency))
 
 
-def closeness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
+def closeness_centrality(g: Graph) -> CentralityVector:
     n = g.node_count
     sweep = g.path_sweep
     scores = []
@@ -78,19 +73,15 @@ def closeness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
                 logger.warning("closeness of isolated node %d reported as 0", v)
             scores.append(0.0)
             continue
-        if normalized:
-            reach = sweep.reach[v]
-            scores.append((reach / total) * (reach / (n - 1)))
-        else:
-            scores.append(1 / total)
-    return CentralityVector("closeness", tuple(scores), normalized)
+        reach = sweep.reach[v]
+        scores.append((reach / total) * (reach / (n - 1)))
+    return CentralityVector("closeness", tuple(scores))
 
 
-def harmonic_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
+def harmonic_centrality(g: Graph) -> CentralityVector:
     n = g.node_count
     totals = g.path_sweep.harmonic
-    scores = [total / (n - 1) if normalized and n > 1 else total for total in totals]
-    return CentralityVector("harmonic", tuple(scores), normalized)
+    return CentralityVector("harmonic", tuple(total / (n - 1) if n > 1 else total for total in totals))
 
 
 def check_damping(damping: float) -> None:
@@ -99,47 +90,19 @@ def check_damping(damping: float) -> None:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
 
 
-def pagerank(
-    g: Graph,
-    damping: float = 0.85,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-    normalized: bool = True,
-) -> CentralityVector:
+def pagerank(g: Graph, damping: float = 0.85) -> CentralityVector:
     """Damped random-walk fixed point, undirected edges as reciprocal links.
 
-    Normalized scores solve PR(v) = (1-d)/N + d * sum(PR(u)/deg(u)) and sum
-    to 1; isolated nodes redistribute their mass uniformly. The raw form
-    (constant (1-d) term, summing to N) is the same vector scaled by N.
+    Scores solve PR(v) = (1-d)/N + d * sum(PR(u)/deg(u)) and sum to 1;
+    isolated nodes redistribute their mass uniformly.
     """
     check_damping(damping)
-    final = None
-    for ranks in _pagerank_sweeps(g, damping, max_iter):
-        final = ranks
-        if final.residual < tol:
-            break
-    if final is None or final.residual >= tol:
-        residual = final.residual if final else INF
-        raise ConvergenceError(
-            f"pagerank did not reach tol={tol} within {max_iter} iterations", residual
-        )
-    scores = final.scores if normalized else [x * g.node_count for x in final.scores]
-    return CentralityVector("pagerank", tuple(scores), normalized)
-
-
-@dataclass
-class _Sweep:
-    scores: list[float]
-    residual: float
-
-
-def _pagerank_sweeps(g: Graph, damping: float, max_iter: int):
-    """Yield successive sum-to-1 iterates with their L1 change."""
     n = g.node_count
     degree = [g.degree(v) for v in range(n)]
     ranks = [1 / n] * n
     base = (1 - damping) / n
-    for _ in range(max_iter):
+    residual = math.inf
+    for _ in range(PAGERANK_MAX_ITER):
         dangling = left_sum(ranks[v] for v in range(n) if degree[v] == 0)
         spread = damping * dangling / n
         nxt = [
@@ -148,7 +111,11 @@ def _pagerank_sweeps(g: Graph, damping: float, max_iter: int):
         ]
         residual = left_sum(abs(a - b) for a, b in zip(nxt, ranks))
         ranks = nxt
-        yield _Sweep(ranks, residual)
+        if residual < PAGERANK_TOL:
+            return CentralityVector("pagerank", tuple(ranks))
+    raise ConvergenceError(
+        f"pagerank did not reach tol={PAGERANK_TOL} within {PAGERANK_MAX_ITER} iterations", residual
+    )
 
 
 def rank_top_k(vec: CentralityVector, k: int, labels) -> list[tuple[str, float]]:

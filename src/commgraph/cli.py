@@ -124,10 +124,21 @@ def _cmd_synth(args) -> None:
     (out / "partition.csv").write_text(partition_to_csv(g.labels, truth), encoding="utf-8")
 
 
+def _load(args, weighted: bool):
+    """Ingest the input files, naming rejected edge rows on stderr; unweighted unless asked."""
+    g, log = load_dataset(args.edges, args.nodes, args.aliases)
+    if log.rows_rejected:
+        line_no, reason = log.rows_rejected[0]
+        print(
+            f"commgraph: warning: {args.edges}: {len(log.rows_rejected)} rows rejected "
+            f"(first: line {line_no}: {reason})",
+            file=sys.stderr,
+        )
+    return g if weighted else g.unweighted()
+
+
 def _cmd_export(args) -> None:
-    g, _ = load_dataset(args.edges, args.nodes, args.aliases)
-    if not args.weighted:
-        g = g.unweighted()
+    g = _load(args, args.weighted)
     partition = scores = None
     if args.with_analytics:
         partition = louvain(g).final_partition
@@ -137,23 +148,15 @@ def _cmd_export(args) -> None:
 
 def _cmd_centrality(args) -> None:
     check_damping(args.damping)
-    g, _ = load_dataset(args.edges, args.nodes, args.aliases)
-    g = g.unweighted()
+    g = _load(args, False)
     _write_or_print(centrality_table_csv(g, all_centralities(g, damping=args.damping)), args.out)
 
 
 def _cmd_communities(args) -> None:
-    g, _ = load_dataset(args.edges, args.nodes, args.aliases)
-    if not args.weighted:
-        g = g.unweighted()
-    dendrogram = louvain(g)
-    _write_or_print(partition_to_csv(g.labels, dendrogram.final_partition), args.out)
+    g = _load(args, args.weighted)
+    _write_or_print(partition_to_csv(g.labels, louvain(g).final_partition), args.out)
     if args.validate_gn:
-        trace = girvan_newman(g)
-        if args.gn_out is None:
-            sys.stdout.write(gn_trace_to_csv(g.labels, trace))
-        else:
-            Path(args.gn_out).write_text(gn_trace_to_csv(g.labels, trace), encoding="utf-8")
+        _write_or_print(gn_trace_to_csv(g.labels, girvan_newman(g)), args.gn_out)
 
 
 _COMMANDS = {

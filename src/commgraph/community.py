@@ -35,7 +35,18 @@ class AggregateGraph:
 
     @classmethod
     def from_graph(cls, g: Graph) -> AggregateGraph:
-        adjacency = [dict(nbrs) for nbrs in g.adjacency]
+        """`g` with every weight scaled by the one power of two that puts the largest in [1, 2).
+
+        The scaling is exact and modularity is scale-free, so every gain and
+        Q keeps its bits, while sums such as `m` and products such as
+        `2*m*m` and `tot[c] * k_v` neither underflow nor overflow.
+        """
+        top = max((w for nbrs in g.adjacency for _, w in nbrs), default=0.0)
+        shift = 1 - math.frexp(top)[1] if top else 0
+        if shift:
+            adjacency = [{v: math.ldexp(w, shift) for v, w in nbrs} for nbrs in g.adjacency]
+        else:
+            adjacency = [dict(nbrs) for nbrs in g.adjacency]
         return cls(adjacency, [0.0] * g.node_count)
 
     @property
@@ -78,13 +89,12 @@ def modularity(g: Graph, p: Partition) -> float:
     return _modularity_kernel(AggregateGraph.from_graph(g), p.assignment)
 
 
-def aggregate_graph(g: Graph | AggregateGraph, p: Partition) -> AggregateGraph:
+def aggregate_graph(agg: AggregateGraph, p: Partition) -> AggregateGraph:
     """Collapse each community to one super-node, conserving total weight.
 
     Inter-community edges sum into single edges; intra-community weight
     (including existing self-loops) becomes the super-node's self-loop.
     """
-    agg = AggregateGraph.from_graph(g) if isinstance(g, Graph) else g
     if len(p.assignment) != agg.node_count:
         raise PartitionMismatchError(
             f"partition covers {len(p.assignment)} nodes, graph has {agg.node_count}"
@@ -201,14 +211,6 @@ def louvain(g: Graph) -> Dendrogram:
         agg = aggregate_graph(agg, local)
         node_map = [local.assignment[s] for s in node_map]
     return Dendrogram(tuple(levels), tuple(qs))
-
-
-def edge_betweenness(g: Graph) -> dict[tuple[int, int], float]:
-    """Per-edge shortest-path betweenness over unordered node pairs."""
-    ends, index = _edge_index(g)
-    scores = [0.0] * len(ends)
-    _edge_dependencies(g.neighbor_ids, index, range(g.node_count), scores)
-    return {e: x / 2 for e, x in zip(ends, scores)}
 
 
 def _edge_index(g: Graph) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:

@@ -114,9 +114,6 @@ class Graph:
         """Weight-free adjacency: `neighbor_ids[u]` lists u's neighbors by ascending id."""
         return tuple(tuple(n for n, _ in nbrs) for nbrs in self.adjacency)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.neighbor_ids[v]
-
     @functools.cached_property
     def path_sweep(self) -> PathSweep:
         """The all-pairs hop-distance sweep, run once per graph and shared."""
@@ -156,12 +153,6 @@ class Partition:
                 remap[lab] = len(remap)
             out.append(remap[lab])
         return cls(tuple(out), len(remap))
-
-    def communities(self) -> list[list[int]]:
-        groups: list[list[int]] = [[] for _ in range(self.community_count)]
-        for node, cid in enumerate(self.assignment):
-            groups[cid].append(node)
-        return groups
 
     def __post_init__(self):
         # first appearances 0, 1, 2, ... imply contiguous ids in canonical order
@@ -254,13 +245,6 @@ def shortest_paths(adjacency, source: int) -> tuple[list[int], list[float], list
     return order, dist, sigma, preds
 
 
-def bfs_distances(g: Graph, source: int) -> list[float]:
-    """Hop distances from `source`; unreachable nodes get math.inf."""
-    if not 0 <= source < g.node_count:
-        raise IndexError(f"source {source} out of range for {g.node_count} nodes")
-    return shortest_paths(g.neighbor_ids, source)[1]
-
-
 def components(adjacency) -> Partition:
     """Component labeling of int neighbor lists, ordered by smallest member."""
     label = [-1] * len(adjacency)
@@ -271,11 +255,6 @@ def components(adjacency) -> Partition:
                 label[v] = current
             current += 1
     return Partition(tuple(label), current)
-
-
-def connected_components(g: Graph) -> Partition:
-    """Component labeling; labels contiguous from 0 ordered by smallest member."""
-    return components(g.neighbor_ids)
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,14 @@ class MetricsReport:
 
 def local_clustering(g: Graph, v: int) -> float:
     """Fraction of neighbor pairs of v that are themselves adjacent; 0 if deg < 2."""
-    nbrs = g.neighbors(v)
+    nbrs = g.neighbor_ids[v]
     deg = len(nbrs)
     if deg < 2:
         return 0.0
     nbr_set = set(nbrs)
     links = 0
-    for i, a in enumerate(nbrs):
-        adj_a = g.adjacency[a]
-        for b, _ in adj_a:
+    for a in nbrs:
+        for b in g.neighbor_ids[a]:
             if b in nbr_set and b > a:
                 links += 1
     return links / (deg * (deg - 1) / 2)

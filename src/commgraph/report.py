@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, check_damping, rank_top_k
 from .community import GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
-from .graph import Graph, NodeRecord, Partition, build_graph, left_sum
+from .graph import Graph, Partition, left_sum
 from .ingest import CleaningLog, load_dataset
 from .metrics import MetricsReport, global_metrics
 
@@ -169,23 +169,6 @@ def export_graph_json(g: Graph, partition: Partition | None = None, scores=None)
         {"source": g.labels[u], "target": g.labels[v], "weight": w} for u, v, w in g.edges()
     ]
     return json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def import_graph_json(text: str) -> Graph:
-    """Rebuild a Graph from `export_graph_json` output (analytics fields ignored)."""
-    payload = json.loads(text)
-    records = [
-        NodeRecord(
-            label=n["label"],
-            kind=n.get("kind", "other"),
-            location=n.get("location"),
-            external_score=n.get("score"),
-        )
-        for n in payload["nodes"]
-    ]
-    edges = [(e["source"], e["target"], e["weight"]) for e in payload["edges"]]
-    g, _ = build_graph(records, edges)
-    return g
 
 
 def export_graph(g: Graph, partition: Partition | None = None, scores=None, fmt: str = "gexf") -> str:

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
-from commgraph.graph import NodeRecord, build_graph
+import commgraph.centrality as centrality_module
+from commgraph.community import _edge_dependencies, _edge_index
+from commgraph.errors import ConvergenceError
+from commgraph.graph import NodeRecord, Partition, build_graph
 
 
 def make_graph(n: int, pairs, weights=None):
@@ -15,6 +21,59 @@ def make_graph(n: int, pairs, weights=None):
         edges = [(labels[u], labels[v], w) for (u, v), w in zip(pairs, weights)]
     g, _ = build_graph(records, edges)
     return g
+
+
+def communities(p: Partition) -> list[list[int]]:
+    """The node ids of each community, by community id."""
+    groups: list[list[int]] = [[] for _ in range(p.community_count)]
+    for node, cid in enumerate(p.assignment):
+        groups[cid].append(node)
+    return groups
+
+
+def edge_betweenness(g) -> dict[tuple[int, int], float]:
+    """Per-edge shortest-path betweenness over unordered node pairs, from GN's kernel."""
+    ends, index = _edge_index(g)
+    scores = [0.0] * len(ends)
+    _edge_dependencies(g.neighbor_ids, index, range(g.node_count), scores)
+    return {e: x / 2 for e, x in zip(ends, scores)}
+
+
+def import_graph_json(text: str):
+    """Rebuild a Graph from `export_graph_json` output (analytics fields ignored)."""
+    payload = json.loads(text)
+    records = [
+        NodeRecord(
+            label=n["label"],
+            kind=n.get("kind", "other"),
+            location=n.get("location"),
+            external_score=n.get("score"),
+        )
+        for n in payload["nodes"]
+    ]
+    edges = [(e["source"], e["target"], e["weight"]) for e in payload["edges"]]
+    g, _ = build_graph(records, edges)
+    return g
+
+
+def pagerank_iterates(g, count: int) -> list[tuple[float, ...]]:
+    """PageRank's first `count` iterates, each got by stopping the solver there.
+
+    The solver raises at iteration k when given k iterations and tolerance 0;
+    a tolerance just above that residual then makes it return iterate k (or
+    an earlier one with a residual as small, which is an iterate too). The
+    solver's constants are restored on return.
+    """
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for k in range(1, count + 1):
+            mp.setattr(centrality_module, "PAGERANK_MAX_ITER", k)
+            mp.setattr(centrality_module, "PAGERANK_TOL", 0.0)
+            with pytest.raises(ConvergenceError) as exc:
+                centrality_module.pagerank(g)
+            mp.setattr(centrality_module, "PAGERANK_TOL", math.nextafter(exc.value.residual, math.inf))
+            out.append(centrality_module.pagerank(g).scores)
+    return out
 
 
 @pytest.fixture

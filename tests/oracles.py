@@ -76,7 +76,7 @@ def all_simple_paths(g: Graph, s: int, t: int) -> list[list[int]]:
         if u == t:
             paths.append(list(path))
             return
-        for v in g.neighbors(u):
+        for v in g.neighbor_ids[u]:
             if v not in seen:
                 path.append(v)
                 seen.add(v)
@@ -96,8 +96,8 @@ def shortest_paths(g: Graph, s: int, t: int) -> list[list[int]]:
     return [p for p in paths if len(p) == best]
 
 
-def betweenness_by_enumeration(g: Graph, normalized: bool = True) -> list[float]:
-    """Node betweenness from explicit shortest-path lists."""
+def betweenness_by_enumeration(g: Graph) -> list[float]:
+    """Normalized node betweenness from explicit shortest-path lists."""
     n = g.node_count
     scores = [0.0] * n
     for s, t in itertools.combinations(range(n), 2):
@@ -110,7 +110,7 @@ def betweenness_by_enumeration(g: Graph, normalized: bool = True) -> list[float]
                 continue
             through = sum(1 for p in paths if v in p)
             scores[v] += through / sigma
-    if normalized and n > 2:
+    if n > 2:
         denom = (n - 1) * (n - 2) / 2
         scores = [x / denom for x in scores]
     return scores
@@ -130,7 +130,7 @@ def edge_betweenness_by_enumeration(g: Graph) -> dict[tuple[int, int], float]:
     return scores
 
 
-def closeness_from_distances(g: Graph, normalized: bool = True) -> list[float]:
+def closeness_from_distances(g: Graph) -> list[float]:
     n = g.node_count
     d = floyd_warshall(g)
     out = []
@@ -140,21 +140,18 @@ def closeness_from_distances(g: Graph, normalized: bool = True) -> list[float]:
         if total == 0:
             out.append(0.0)
             continue
-        if normalized:
-            reach = len(finite)  # component size minus one
-            out.append((reach / total) * (reach / (n - 1)))
-        else:
-            out.append(1 / total)
+        reach = len(finite)  # component size minus one
+        out.append((reach / total) * (reach / (n - 1)))
     return out
 
 
-def harmonic_from_distances(g: Graph, normalized: bool = True) -> list[float]:
+def harmonic_from_distances(g: Graph) -> list[float]:
     n = g.node_count
     d = floyd_warshall(g)
     out = []
     for v in range(n):
         total = sum(1 / d[v][u] for u in range(n) if u != v and d[v][u] < INF)
-        out.append(total / (n - 1) if normalized else total)
+        out.append(total / (n - 1))
     return out
 
 
@@ -167,7 +164,7 @@ def pagerank_power_iteration(g: Graph, damping: float = 0.85) -> list[float]:
         if deg == 0:
             m[:, u] = 1 / n  # dangling mass spreads uniformly
         else:
-            for v in g.neighbors(u):
+            for v in g.neighbor_ids[u]:
                 m[v, u] = 1 / deg
     x = np.full(n, 1 / n)
     for _ in range(100_000):

@@ -18,11 +18,9 @@ from commgraph.centrality import (
     degree_centrality,
     harmonic_centrality,
     pagerank,
-    _pagerank_sweeps,
 )
 from commgraph.community import (
     compare_partitions,
-    edge_betweenness,
     girvan_newman,
     louvain,
     modularity,
@@ -31,7 +29,7 @@ from commgraph.graph import NodeRecord, Partition, build_graph
 from commgraph.metrics import global_metrics
 from commgraph.report import report_to_json, run_pipeline
 from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
-from conftest import make_graph
+from conftest import edge_betweenness, make_graph, pagerank_iterates
 from oracles import (
     betweenness_by_enumeration,
     closeness_from_distances,
@@ -159,8 +157,8 @@ def test_criterion_7_pagerank():
     for _ in range(40):
         g = random_graph(rng)
         assert abs(sum(pagerank(g).scores) - 1.0) <= 1e-9
-        for sweep in _pagerank_sweeps(g, 0.85, 60):
-            assert abs(sum(sweep.scores) - 1.0) <= 1e-9
+        for scores in pagerank_iterates(g, 60):
+            assert abs(sum(scores) - 1.0) <= 1e-9
 
     for n in (3, 4, 5, 8):
         cycle = make_graph(n, [(i, (i + 1) % n) for i in range(n)])

@@ -7,6 +7,7 @@ import pytest
 from commgraph.errors import ConvergenceError, DegenerateGraphError
 from commgraph.centrality import (
     MEASURES,
+    CentralityVector,
     all_centralities,
     betweenness_centrality,
     centrality_table_csv,
@@ -15,10 +16,9 @@ from commgraph.centrality import (
     harmonic_centrality,
     pagerank,
     rank_top_k,
-    _pagerank_sweeps,
 )
 from commgraph.graph import NodeRecord, build_graph
-from conftest import make_graph
+from conftest import make_graph, pagerank_iterates
 from oracles import (
     betweenness_by_enumeration,
     closeness_from_distances,
@@ -47,13 +47,8 @@ def test_degree_triangle_all_one(triangle):
 
 
 def test_degree_star_leaves(star4):
-    vec = degree_centrality(star4)
-    assert vec.scores[1] == pytest.approx(1 / 3)
-    assert vec.scores[0] == 1.0
-
-
-def test_degree_raw_counts(star4):
-    assert degree_centrality(star4, normalized=False).scores == (3.0, 1.0, 1.0, 1.0)
+    # degrees 3, 1, 1, 1 over N - 1 = 3
+    assert degree_centrality(star4).scores == (1.0, 1 / 3, 1 / 3, 1 / 3)
 
 
 def test_degree_single_node_degenerate():
@@ -68,8 +63,6 @@ def test_degree_single_node_degenerate():
 def test_betweenness_path_middle(path3):
     vec = betweenness_centrality(path3)
     assert vec.scores == (0.0, 1.0, 0.0)
-    raw = betweenness_centrality(path3, normalized=False)
-    assert raw.scores[1] == 1.0
 
 
 def test_betweenness_triangle_zero(triangle):
@@ -77,28 +70,21 @@ def test_betweenness_triangle_zero(triangle):
 
 
 def test_betweenness_star_center(star4):
-    raw = betweenness_centrality(star4, normalized=False)
-    assert raw.scores[0] == 3.0
-    assert betweenness_centrality(star4).scores[0] == 1.0
+    assert betweenness_centrality(star4).scores == (1.0, 0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------- closeness
 
 
 def test_closeness_path(path3):
+    # distance sums 3, 2, 3, each node reaching both others
     vec = closeness_centrality(path3)
-    assert vec.scores[1] == 1.0
-    assert vec.scores[0] == pytest.approx(2 / 3)
+    assert vec.scores == (pytest.approx(2 / 3), 1.0, pytest.approx(2 / 3))
 
 
 def test_closeness_complete_graph():
     vec = closeness_centrality(complete_graph(5))
     assert all(s == 1.0 for s in vec.scores)
-
-
-def test_closeness_raw_is_inverse_distance_sum(path3):
-    raw = closeness_centrality(path3, normalized=False)
-    assert raw.scores == (pytest.approx(1 / 3), 0.5, pytest.approx(1 / 3))
 
 
 def test_closeness_isolated_node_zero_with_warning(caplog):
@@ -115,8 +101,6 @@ def test_closeness_isolated_node_zero_with_warning(caplog):
 def test_harmonic_path_end(path3):
     vec = harmonic_centrality(path3)
     assert vec.scores[0] == pytest.approx(1.5 / 2)
-    raw = harmonic_centrality(path3, normalized=False)
-    assert raw.scores[0] == pytest.approx(1.5)
 
 
 def test_harmonic_complete_graph():
@@ -150,8 +134,8 @@ def test_pagerank_star_fixed_point(star4):
 
 
 def test_pagerank_sums_to_one_every_iteration(star4):
-    for sweep in _pagerank_sweeps(star4, damping=0.85, max_iter=50):
-        assert abs(sum(sweep.scores) - 1.0) < 1e-9
+    for scores in pagerank_iterates(star4, 50):
+        assert abs(sum(scores) - 1.0) < 1e-9
 
 
 def test_pagerank_handles_isolated_nodes():
@@ -161,22 +145,21 @@ def test_pagerank_handles_isolated_nodes():
     assert all(0 < s < 1 for s in vec.scores)
 
 
-def test_pagerank_raw_form_scales_by_n(star4):
-    unit = pagerank(star4)
-    raw = pagerank(star4, normalized=False)
-    for a, b in zip(raw.scores, unit.scores):
-        assert a == pytest.approx(4 * b, abs=1e-12)
-
-
 def test_pagerank_bad_damping_rejected(star4):
     with pytest.raises(ValueError):
         pagerank(star4, damping=1.0)
 
 
-def test_pagerank_nonconvergence_carries_residual(star4):
-    with pytest.raises(ConvergenceError) as exc:
-        pagerank(star4, tol=1e-15, max_iter=3)
-    assert exc.value.residual > 0
+def test_pagerank_nonconvergence_carries_residual(star4, monkeypatch):
+    import commgraph.centrality as centrality_module
+
+    # the default budget reaches this tolerance; three iterations do not
+    monkeypatch.setattr(centrality_module, "PAGERANK_TOL", 1e-6)
+    assert pagerank(star4)
+    monkeypatch.setattr(centrality_module, "PAGERANK_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError, match=r"tol=1e-06 within 3 iterations") as exc:
+        pagerank(star4)
+    assert exc.value.residual > 1e-6
 
 
 # ------------------------------------------------------- oracle sweeps
@@ -233,8 +216,7 @@ def test_vertex_transitive_graphs_are_constant():
 
 
 def test_rank_top_k_basic():
-    vec = degree_centrality(make_graph(2, [(0, 1)]), normalized=False)
-    vec = vec.__class__("degree", (0.3, 0.7), False)
+    vec = CentralityVector("degree", (0.3, 0.7))
     assert rank_top_k(vec, 1, ["A", "B"]) == [("B", 0.7)]
 
 
@@ -244,9 +226,7 @@ def test_rank_top_k_tie_breaks_by_label():
 
 
 def test_rank_top_k_clamps_to_n():
-    from commgraph.centrality import CentralityVector
-
-    vec = CentralityVector("degree", (1.0, 2.0, 3.0), False)
+    vec = CentralityVector("degree", (1.0, 2.0, 3.0))
     out = rank_top_k(vec, 5, ["A", "B", "C"])
     assert out == [("C", 3.0), ("B", 2.0), ("A", 1.0)]
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from commgraph.cli import main
+from conftest import import_graph_json
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample"
 
@@ -204,7 +205,6 @@ def test_export_subcommand_round_trip(ring_dir, tmp_path):
     rc = main(["export", "--edges", str(ring_dir / "edges.csv"), "--format", "json", "--out", str(out)])
     assert rc == 0
     from commgraph.ingest import load_dataset
-    from commgraph.report import import_graph_json
 
     g, _ = load_dataset(ring_dir / "edges.csv")
     assert import_graph_json(out.read_text(encoding="utf-8")) == g.unweighted()
@@ -216,3 +216,53 @@ def test_export_with_analytics_carries_community(ring_dir, capsys):
     text = capsys.readouterr().out
     assert 'title="community"' in text
     assert 'title="pagerank"' in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["communities", "--validate-gn"], ["export", "--format", "json"], ["centrality"]],
+    ids=["communities", "export", "centrality"],
+)
+def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, capsys):
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_bytes(b"source,target\nA\x01x,B\nC,D\nE\n")
+    clean = tmp_path / "clean.csv"
+    clean.write_bytes(b"source,target\nC,D\n")
+    assert main([*argv, "--edges", str(clean)]) == 0
+    want = capsys.readouterr()
+    assert want.err == ""
+    assert main([*argv, "--edges", str(dirty)]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out
+    assert got.err == f"commgraph: warning: {dirty}: 2 rows rejected (first: line 2: control character U+0001)\n"
+
+
+# every weight scaled alike: modularity is scale-free, so the answer is the unit-weight one
+_EXTREME_WEIGHTS = {
+    # a triangle plus a pendant edge: Louvain's 2*m*m underflowed to 0 (exit 2)
+    "1e-200": [("A", "B"), ("B", "C"), ("A", "C"), ("C", "D")],
+    # two triangles joined by a bridge: tot[c] * k_v overflowed (six singletons, Q -0.173)
+    "1e200": [("A", "B"), ("B", "C"), ("A", "C"), ("D", "E"), ("E", "F"), ("D", "F"), ("C", "D")],
+    # plus a triangle on F: the total weight overflowed, so every GN Q was nan or 0
+    "1e307": [("A", "B"), ("B", "C"), ("A", "C"), ("D", "E"), ("E", "F"), ("D", "F"), ("C", "D"),
+              ("F", "G"), ("G", "H"), ("F", "H")],
+}
+
+
+@pytest.mark.parametrize("weight", sorted(_EXTREME_WEIGHTS))
+def test_extreme_weights_give_the_unit_weight_communities(weight, tmp_path, capsys):
+    runs = {}
+    for w in (weight, "1"):
+        edges = tmp_path / f"{w}.csv"
+        edges.write_text("source,target,weight\n" + "".join(f"{u},{v},{w}\n" for u, v in _EXTREME_WEIGHTS[weight]))
+        assert main(["communities", "--weighted", "--edges", str(edges)]) == 0
+        partition = capsys.readouterr().out
+        assert main(["analyze", "--weighted", "--validate-gn", "--edges", str(edges)]) == 0
+        runs[w] = partition, json.loads(capsys.readouterr().out)["communities"]
+    (partition, report), (unit_partition, unit_report) = runs[weight], runs["1"]
+    assert partition == unit_partition
+    assert report["assignment"] == unit_report["assignment"]
+    assert unit_report["count"] > 1
+    # 1e-200, 1e200 and 1e307 are no powers of two, so Q may differ from the unit-weight Q in its last bits
+    for key in ("louvain_q", "gn_best_q"):
+        assert report[key] == pytest.approx(unit_report[key], rel=1e-12)

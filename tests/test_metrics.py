@@ -126,7 +126,7 @@ def test_adding_edge_never_increases_path_stats():
             (u, v)
             for u in range(g.node_count)
             for v in range(u + 1, g.node_count)
-            if v not in g.neighbors(u)
+            if v not in g.neighbor_ids[u]
         ]
         if not absent or global_metrics(g).component_count != 1:
             continue

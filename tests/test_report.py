@@ -15,17 +15,16 @@ from commgraph.report import (
     export_gexf,
     export_graph,
     export_graph_json,
-    import_graph_json,
     pearson_correlation_matrix,
     report_to_json,
     run_pipeline,
 )
 from commgraph.synth import gen_ring_of_cliques
-from conftest import make_graph
+from conftest import import_graph_json, make_graph
 
 
 def vec(*scores):
-    return CentralityVector("degree", tuple(scores), True)
+    return CentralityVector("degree", tuple(scores))
 
 
 # ------------------------------------------------------------ correlation
