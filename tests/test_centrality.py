@@ -51,6 +51,13 @@ def test_degree_star_leaves(star4):
     assert degree_centrality(star4).scores == (1.0, 1 / 3, 1 / 3, 1 / 3)
 
 
+def test_degree_raw_counts(star4):
+    # the normalized score times N - 1 gives back the edge counts
+    n = len(star4.labels)
+    raw = tuple(round(s * (n - 1)) for s in degree_centrality(star4).scores)
+    assert raw == (3, 1, 1, 1)
+
+
 def test_degree_single_node_degenerate():
     g = make_graph(1, [])
     with pytest.raises(DegenerateGraphError):
@@ -85,6 +92,13 @@ def test_closeness_path(path3):
 def test_closeness_complete_graph():
     vec = closeness_centrality(complete_graph(5))
     assert all(s == 1.0 for s in vec.scores)
+
+
+def test_closeness_raw_is_inverse_distance_sum(path3):
+    # the normalized score over N - 1 is 1 / (sum of distances)
+    n = len(path3.labels)
+    raw = tuple(s / (n - 1) for s in closeness_centrality(path3).scores)
+    assert raw == (pytest.approx(1 / 3), 0.5, pytest.approx(1 / 3))
 
 
 def test_closeness_isolated_node_zero_with_warning(caplog):
