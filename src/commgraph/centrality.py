@@ -66,15 +66,22 @@ def closeness_centrality(g: Graph) -> CentralityVector:
     n = g.node_count
     sweep = g.path_sweep
     scores = []
+    isolated = []
     for v in range(n):
         total = sweep.distance_totals[v]
         if total == 0:
             if g.degree(v) == 0:
-                logger.warning("closeness of isolated node %d reported as 0", v)
+                isolated.append(v)
             scores.append(0.0)
             continue
         reach = sweep.reach[v]
         scores.append((reach / total) * (reach / (n - 1)))
+    if isolated:
+        logger.warning(
+            "commgraph: warning: closeness of %d isolated nodes reported as 0 (first: %r)",
+            len(isolated),
+            g.labels[isolated[0]],
+        )
     return CentralityVector("closeness", tuple(scores))
 
 

@@ -12,41 +12,47 @@ import csv
 import functools
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import PartitionMismatchError, UndefinedModularityError
 from .graph import Graph, Partition, components, left_sum, shortest_paths
 
 _GAIN_EPS = 1e-7  # level-to-level modularity improvement below this stops Louvain
+_UNSCALED = (2.0**-64, 2.0**64)  # weights in this range need no scaling (`AggregateGraph.from_graph`)
 
 
 @dataclass
 class AggregateGraph:
     """Weighted graph that admits self-loops; the internal Louvain form.
 
-    A self-loop of weight w counts once toward intra-community weight and
-    twice toward its node's degree, which keeps modularity invariant across
-    aggregation levels. It is not changed after construction, so its degree
-    list is computed once.
+    `adjacency[v]` lists (neighbor, weight) pairs. A self-loop of weight w
+    counts once toward intra-community weight and twice toward its node's
+    degree, which keeps modularity invariant across aggregation levels. It
+    is not changed after construction, so its degree list and total weight
+    are computed once.
     """
 
-    adjacency: list[dict[int, float]]
+    adjacency: Sequence[Sequence[tuple[int, float]]]
     self_loops: list[float]
 
     @classmethod
     def from_graph(cls, g: Graph) -> AggregateGraph:
-        """`g` with every weight scaled by the one power of two that puts the largest in [1, 2).
+        """`g`, its weights scaled by a power of two where that is needed to keep them in range.
 
-        The scaling is exact and modularity is scale-free, so every gain and
-        Q keeps its bits, while sums such as `m` and products such as
-        `2*m*m` and `tot[c] * k_v` neither underflow nor overflow.
+        Sums such as `m` and products such as `2*m*m` and `tot[c] * k_v`
+        must neither underflow nor overflow. Weights beyond [2**-64, 2**64]
+        are scaled by the one power of two that puts the largest in [1, 2).
+        Within that range every such sum and product stays a normal float,
+        with or without the scaling, so it changes no bit and `g.adjacency`
+        is used as it is. Either way modularity is scale-free and the
+        scaling exact, so every gain and Q keeps its bits.
         """
-        top = max((w for nbrs in g.adjacency for _, w in nbrs), default=0.0)
-        shift = 1 - math.frexp(top)[1] if top else 0
-        if shift:
-            adjacency = [{v: math.ldexp(w, shift) for v, w in nbrs} for nbrs in g.adjacency]
-        else:
-            adjacency = [dict(nbrs) for nbrs in g.adjacency]
+        weights = [w for nbrs in g.adjacency for _, w in nbrs]
+        adjacency = g.adjacency
+        if weights and not _UNSCALED[0] <= min(weights) <= max(weights) <= _UNSCALED[1]:
+            shift = 1 - math.frexp(max(weights))[1]
+            adjacency = tuple(tuple((v, math.ldexp(w, shift)) for v, w in nbrs) for nbrs in adjacency)
         return cls(adjacency, [0.0] * g.node_count)
 
     @property
@@ -55,16 +61,18 @@ class AggregateGraph:
 
     @functools.cached_property
     def degrees(self) -> list[float]:
-        """Weighted degree of every node, a self-loop counting twice; computed once."""
-        return [left_sum(nbrs.values()) + 2 * loop for nbrs, loop in zip(self.adjacency, self.self_loops)]
+        """Weighted degree of every node, a self-loop counting twice."""
+        return [left_sum(w for _, w in nbrs) + 2 * loop for nbrs, loop in zip(self.adjacency, self.self_loops)]
 
+    @functools.cached_property
     def total_weight(self) -> float:
-        return left_sum(left_sum(nbrs.values()) for nbrs in self.adjacency) / 2 + left_sum(self.self_loops)
+        """Total edge weight m, a self-loop counting once."""
+        return left_sum(left_sum(w for _, w in nbrs) for nbrs in self.adjacency) / 2 + left_sum(self.self_loops)
 
 
 def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
     """Q = sum_c [ e_c/m - (d_c/2m)^2 ] over the given community assignment."""
-    m = agg.total_weight()
+    m = agg.total_weight
     if m <= 0:
         raise UndefinedModularityError("modularity is undefined with zero total edge weight")
     count = max(assignment) + 1 if assignment else 0
@@ -74,7 +82,7 @@ def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
         c = assignment[v]
         degree[c] += k
         intra[c] += agg.self_loops[v]
-        for u, w in agg.adjacency[v].items():
+        for u, w in agg.adjacency[v]:
             if assignment[u] == c and u < v:
                 intra[c] += w
     return left_sum(e / m - (d / (2 * m)) ** 2 for e, d in zip(intra, degree))
@@ -105,14 +113,14 @@ def aggregate_graph(agg: AggregateGraph, p: Partition) -> AggregateGraph:
     for v in range(agg.node_count):
         c = p.assignment[v]
         self_loops[c] += agg.self_loops[v]
-        for u, w in agg.adjacency[v].items():
+        for u, w in agg.adjacency[v]:
             cu = p.assignment[u]
             if cu == c:
                 if u < v:
                     self_loops[c] += w
             else:
                 adjacency[c][cu] = adjacency[c].get(cu, 0.0) + w
-    return AggregateGraph(adjacency, self_loops)
+    return AggregateGraph(tuple(tuple(nbrs.items()) for nbrs in adjacency), self_loops)
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,7 @@ def _local_sweep(agg: AggregateGraph, m: float) -> tuple[list[int], bool]:
     # links[v]: weight from v to each adjacent community (self-loops excluded),
     # summed in neighbor order; kept until a neighbor of v moves
     links: list[dict[int, float] | None] = [None] * n
-    nodes = list(zip(range(n), degree, [tuple(nbrs.items()) for nbrs in agg.adjacency]))
+    nodes = list(zip(range(n), degree, agg.adjacency))
     moved_any = False
     improved = True
     while improved:
@@ -187,7 +195,7 @@ def _local_sweep(agg: AggregateGraph, m: float) -> tuple[list[int], bool]:
 def louvain(g: Graph) -> Dendrogram:
     """Two-phase modularity optimization over successive aggregation levels."""
     agg = AggregateGraph.from_graph(g)
-    m = agg.total_weight()
+    m = agg.total_weight
     if m <= 0:
         raise UndefinedModularityError("modularity is undefined with zero total edge weight")
     original = agg
@@ -229,21 +237,24 @@ def _edge_index(g: Graph) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:
     return ends, index
 
 
-def _edge_dependencies(adjacency, index, sources, scores: list[float]) -> None:
+def _edge_dependencies(adjacency, index, sources, scores: list[float], traversals=None) -> None:
     """Reset the edges of `sources` in `scores`, then add their Brandes dependencies.
 
     `scores` is indexed by edge number (`_edge_index`). `sources` must be
     whole components in ascending id order. An edge only gains dependency
     from sources in its own component, so each edge's sum then has the same
     terms in the same order as a run over all nodes, and edges outside
-    `sources` keep their scores.
+    `sources` keep their scores. `traversals` maps a source to the
+    `shortest_paths` result the caller already has for it on this
+    adjacency; its `order` list is consumed.
     """
     n = len(adjacency)
+    traversals = traversals or {}
     for u in sources:
         for v in adjacency[u]:
             scores[index[u][v]] = 0.0
     for s in sources:
-        order, _, sigma, preds = shortest_paths(adjacency, s)
+        order, _, sigma, preds = traversals.get(s) or shortest_paths(adjacency, s)
         delta = [0.0] * n
         while order:
             w = order.pop()
@@ -297,21 +308,24 @@ def girvan_newman(g: Graph) -> GNTrace:
         adjacency[u].remove(v)
         adjacency[v].remove(u)
         scores[k] = -math.inf
-        reach, dist, _, _ = shortest_paths(adjacency, u)
+        # these traversals are also the first sources `_edge_dependencies` recomputes
+        traversals = {u: shortest_paths(adjacency, u)}
+        reach, dist = traversals[u][:2]
         if dist[v] == math.inf:
             # the removal split u's component: v's side becomes a new community
-            split = shortest_paths(adjacency, v)[0]
+            traversals[v] = shortest_paths(adjacency, v)
+            split = traversals[v][0]
             label = list(part.assignment)
             for w in split:
                 label[w] = part.community_count
             part = Partition.from_assignment(label)
             q = _modularity_kernel(original, part.assignment)
-            reach += split
+            reach = reach + split  # a new list: u's traversal keeps its own order
         removals.append(((u, v), q))
         if q > best_q:
             best_partition, best_q = part, q
         # only the component(s) that held the removed edge changed
-        _edge_dependencies(adjacency, index, sorted(reach), scores)
+        _edge_dependencies(adjacency, index, sorted(reach), scores, traversals)
     return GNTrace(tuple(removals), best_partition, best_q)
 
 

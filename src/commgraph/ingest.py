@@ -22,8 +22,10 @@ import csv
 import io
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import GraphBuildError, IngestError
 from .graph import (
@@ -32,14 +34,15 @@ from .graph import (
     Graph,
     Memo,
     NodeRecord,
-    build_graph,
     canonical_label,
+    collapse_edges,
     display_label,
 )
 
 
-@dataclass(frozen=True)
-class RawEdgeRow:
+class RawEdgeRow(NamedTuple):
+    """One accepted edge row: display labels as written, weight None when blank."""
+
     source_label: str
     target_label: str
     weight: float | None
@@ -85,14 +88,15 @@ def _row_error(mark: str) -> str:
     return f"control character U+{ord(mark):04X}"
 
 
-def _read_table(path, spec) -> tuple[list[str], list[tuple[int, list[str], str | None]]]:
-    """Decode a CSV file into its stripped, case-folded header and its (row_no, fields, error) rows.
+def _read_table(path, spec) -> tuple[list[str], Iterator[tuple[int, list[str], str | None]]]:
+    """Decode a CSV file into its stripped, case-folded header and an iterator over its rows.
 
-    Row numbers are logical CSV rows (header = 1); blank rows are skipped.
-    Rows holding a byte that is not UTF-8, NUL, or a control character
-    carry the error and do not stop the rest of the file from parsing. A
-    missing, undecodable or unexpected header and a csv error such as an
-    over-long field are fatal.
+    The file is decoded once and parsed lazily: the iterator yields
+    (row_no, fields, error), with logical CSV row numbers (header = 1), and
+    skips blank rows. Rows holding a byte that is not UTF-8, NUL, or a
+    control character carry the error and do not stop the rest of the file
+    from parsing. A missing, undecodable or unexpected header is fatal here;
+    a csv error such as an over-long field is fatal when the iterator reaches it.
     """
     form, accepts = spec
     raw = Path(path).read_bytes()
@@ -105,7 +109,20 @@ def _read_table(path, spec) -> tuple[list[str], list[tuple[int, list[str], str |
     text = text.replace("\x00", _NUL)
     # one substring test per character costs far less than a regex search over the whole text
     marked = escaped or any(c in text for c in _NUL + _CONTROL)
-    rows = []
+    rows = _rows(path, text, marked)
+    first = next(rows, None)
+    if first is None:
+        raise IngestError(f"{path}: empty file, expected a {form} header")
+    header_no, header, error = first
+    if error is not None:
+        raise IngestError(f"{path}: line {header_no}: {error} in the header")
+    header = [h.strip().casefold() for h in header]
+    if not accepts(header):
+        raise IngestError(f"{path}: expected header {form}, got {','.join(header)!r}")
+    return header, rows
+
+
+def _rows(path, text: str, marked: bool) -> Iterator[tuple[int, list[str], str | None]]:
     row_no = 0
     try:
         for row_no, fields in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
@@ -115,18 +132,9 @@ def _read_table(path, spec) -> tuple[list[str], list[tuple[int, list[str], str |
             error = None
             if marked and (mark := _MARK.search("".join(fields))):
                 error = _row_error(mark[0])
-            rows.append((row_no, fields, error))
+            yield row_no, fields, error
     except csv.Error as exc:
         raise IngestError(f"{path}: line {row_no + 1}: {exc}") from None
-    if not rows:
-        raise IngestError(f"{path}: empty file, expected a {form} header")
-    header_no, header, error = rows[0]
-    if error is not None:
-        raise IngestError(f"{path}: line {header_no}: {error} in the header")
-    header = [h.strip().casefold() for h in header]
-    if not accepts(header):
-        raise IngestError(f"{path}: expected header {form}, got {','.join(header)!r}")
-    return header, rows[1:]
 
 
 def parse_edge_csv(path) -> tuple[list[RawEdgeRow], CleaningLog]:
@@ -167,12 +175,15 @@ def parse_edge_csv(path) -> tuple[list[RawEdgeRow], CleaningLog]:
     return out, log
 
 
-def parse_node_csv(path, log: CleaningLog | None = None) -> list[NodeRecord]:
-    """Read node records; unknown kinds fall back to `other` with a warning."""
+def parse_node_csv(path, log: CleaningLog | None = None) -> dict[str, NodeRecord]:
+    """Read node records, keyed by canonical label in file order.
+
+    Unknown kinds fall back to `other` with a warning.
+    """
     header, rows = _read_table(path, _NODE)
     col = {name: header.index(name) for name in header}
 
-    records: list[NodeRecord] = []
+    records: dict[str, NodeRecord] = {}
     seen: dict[str, int] = {}  # canonical label -> line_no
     for line_no, fields, err in rows:
         if err is not None:
@@ -211,7 +222,7 @@ def parse_node_csv(path, log: CleaningLog | None = None) -> list[NodeRecord]:
             if not math.isfinite(score) or score < 0:
                 raise IngestError(f"{path}: line {line_no}: score must be non-negative")
 
-        records.append(NodeRecord(label=label, kind=kind, location=location, external_score=score))
+        records[key] = NodeRecord(label=label, kind=kind, location=location, external_score=score)
     return records
 
 
@@ -256,25 +267,23 @@ def parse_alias_csv(path) -> dict[str, str]:
 def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, CleaningLog]:
     """Full ingestion: edge CSV plus optional node and alias CSVs into a Graph.
 
-    Nodes appearing only in the edge file are synthesized with kind `other`.
-    Node ids are assigned in canonical-label order, so identical input bytes
-    always produce the identical graph. A row whose weight makes its pair's
-    collapsed weight overflow is fatal.
+    Nodes appearing only in the edge file are synthesized with kind `other`,
+    named by their first spelling in row order. Node ids are assigned in
+    canonical-label order, so identical input bytes always produce the
+    identical graph. A row whose weight makes its pair's collapsed weight
+    overflow is fatal.
     """
     edge_rows, log = parse_edge_csv(edge_path)
-    records = parse_node_csv(node_path, log) if node_path is not None else []
+    registry = parse_node_csv(node_path, log) if node_path is not None else {}  # canonical label -> record
     aliases = parse_alias_csv(alias_path) if alias_path is not None else {}
 
-    registry: dict[str, NodeRecord] = {}
-    for r in records:
-        key = canonical_label(r.label)
+    for key, r in registry.items():
         if key in aliases and canonical_label(aliases[key]) != key:  # it would stay an isolated ghost
             raise IngestError(f"{node_path}: label {r.label!r} is an alias of {aliases[key]!r} in {alias_path}")
-        registry[key] = r
     merged: set[tuple[str, str]] = set()
 
     @Memo  # the result for a string never changes once its node is registered
-    def resolve(name: str) -> str:  # `name` is a display label (parse_edge_csv)
+    def node_key(name: str) -> str:  # `name` is a display label (parse_edge_csv)
         key = canonical_label(name)
         if key in aliases:
             target = aliases[key]
@@ -285,13 +294,19 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
         stored = registry[key].label
         if stored != name:
             merged.add((name, stored))
-        return stored
+        return key
 
-    resolved = [(resolve[r.source_label], resolve[r.target_label], r.weight) for r in edge_rows]
-
-    ordered = [registry[key] for key in sorted(registry)]  # keys are the canonical labels
+    for source, target, _, _ in edge_rows:  # register endpoints in row order
+        node_key[source]
+        node_key[target]
+    keys = sorted(registry)  # the canonical labels
+    position = {key: i for i, key in enumerate(keys)}
+    ids = {name: position[key] for name, key in node_key.items()}
     try:
-        graph, counts = build_graph(ordered, resolved)
+        graph, counts = collapse_edges(
+            [registry[key] for key in keys],
+            ((ids[source], ids[target], weight) for source, target, weight, _ in edge_rows),
+        )
     except GraphBuildError as exc:
         if exc.edge is None:
             raise

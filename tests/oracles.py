@@ -3,17 +3,22 @@
 Everything here trades speed for obviousness: explicit path enumeration,
 dense matrices, pairwise double sums. Intended for graphs of ~7 nodes.
 The exceptions are `girvan_newman_full_recompute`, the plain divisive run
-that recomputes every edge's betweenness after each removal, and
+that recomputes every edge's betweenness after each removal,
 `louvain_reference`, the plain Louvain loop that rebuilds every node's
-neighbor-community weights on every visit; they are the references for the
-component-local recompute and the cached sweep in `commgraph.community`.
+neighbor-community weights on every visit, and `load_dataset_reference`, the
+two-stage ingest that lists every row before resolving any label; they are
+the references for the component-local recompute and the cached sweep in
+`commgraph.community` and for the one-pass `commgraph.ingest.load_dataset`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +30,27 @@ from commgraph.community import (
     _modularity_kernel,
     aggregate_graph,
 )
-from commgraph.errors import UndefinedModularityError
-from commgraph.graph import Graph, NodeRecord, Partition, build_graph, components, left_sum
+from commgraph.errors import IngestError, UndefinedModularityError
+from commgraph.graph import (
+    Graph,
+    NodeRecord,
+    Partition,
+    build_graph,
+    canonical_label,
+    components,
+    display_label,
+    left_sum,
+)
+from commgraph.ingest import (
+    _EDGE,
+    _MARK,
+    _NUL,
+    _CONTROL,
+    CleaningLog,
+    _row_error,
+    parse_alias_csv,
+    parse_node_csv,
+)
 from commgraph.graph import shortest_paths as bfs_kernel
 
 INF = math.inf
@@ -240,11 +264,11 @@ def girvan_newman_full_recompute(g: Graph) -> GNTrace:
 
 
 def _weighted_degree(agg: AggregateGraph, v: int) -> float:
-    return left_sum(agg.adjacency[v].values()) + 2 * agg.self_loops[v]
+    return left_sum(w for _, w in agg.adjacency[v]) + 2 * agg.self_loops[v]
 
 
 def _modularity_reference(agg: AggregateGraph, assignment) -> float:
-    m = agg.total_weight()
+    m = agg.total_weight
     count = max(assignment) + 1 if assignment else 0
     intra = [0.0] * count
     degree = [0.0] * count
@@ -252,7 +276,7 @@ def _modularity_reference(agg: AggregateGraph, assignment) -> float:
         c = assignment[v]
         degree[c] += _weighted_degree(agg, v)
         intra[c] += agg.self_loops[v]
-        for u, w in agg.adjacency[v].items():
+        for u, w in agg.adjacency[v]:
             if assignment[u] == c and u < v:
                 intra[c] += w
     return left_sum(e / m - (d / (2 * m)) ** 2 for e, d in zip(intra, degree))
@@ -271,7 +295,7 @@ def _local_sweep_reference(agg: AggregateGraph, m: float) -> tuple[list[int], bo
             old = community[v]
             k_v = degree[v]
             link: dict[int, float] = {}
-            for u, w in agg.adjacency[v].items():
+            for u, w in agg.adjacency[v]:
                 link[community[u]] = link.get(community[u], 0.0) + w
             tot[old] -= k_v
             stay_gain = link.get(old, 0.0) / m - tot[old] * k_v / (2 * m * m)
@@ -293,7 +317,7 @@ def _local_sweep_reference(agg: AggregateGraph, m: float) -> tuple[list[int], bo
 def louvain_reference(g: Graph) -> Dendrogram:
     """Louvain rebuilding each visited node's neighbor-community weights from scratch."""
     agg = AggregateGraph.from_graph(g)
-    m = agg.total_weight()
+    m = agg.total_weight
     if m <= 0:
         raise UndefinedModularityError("modularity is undefined with zero total edge weight")
     original = agg
@@ -314,3 +338,131 @@ def louvain_reference(g: Graph) -> Dendrogram:
         agg = aggregate_graph(agg, local)
         node_map = [local.assignment[s] for s in node_map]
     return Dendrogram(tuple(levels), tuple(qs))
+
+
+# Ingest as first written: every row of the edge file is listed, then every
+# accepted row becomes a record and then a resolved tuple, and the labels are
+# canonicalized again while the graph is assembled. Node and alias files go
+# through the package's parsers.
+
+
+def _read_table_reference(path, spec):
+    form, accepts = spec
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+        escaped = False
+    except UnicodeDecodeError:
+        text = raw.decode("utf-8-sig", errors="surrogateescape")
+        escaped = True
+    text = text.replace("\x00", _NUL)
+    marked = escaped or any(c in text for c in _NUL + _CONTROL)
+    rows = []
+    row_no = 0
+    try:
+        for row_no, fields in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            if not fields or all(f.strip() == "" for f in fields):
+                continue
+            error = None
+            if marked and (mark := _MARK.search("".join(fields))):
+                error = _row_error(mark[0])
+            rows.append((row_no, fields, error))
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {row_no + 1}: {exc}") from None
+    if not rows:
+        raise IngestError(f"{path}: empty file, expected a {form} header")
+    header_no, header, error = rows[0]
+    if error is not None:
+        raise IngestError(f"{path}: line {header_no}: {error} in the header")
+    header = [h.strip().casefold() for h in header]
+    if not accepts(header):
+        raise IngestError(f"{path}: expected header {form}, got {','.join(header)!r}")
+    return header, rows[1:]
+
+
+def _parse_edge_csv_reference(path):
+    header, rows = _read_table_reference(path, _EDGE)
+    width = len(header)
+    log = CleaningLog()
+    out = []
+    for line_no, fields, err in rows:
+        if err is not None:
+            log.rows_rejected.append((line_no, err))
+            continue
+        if len(fields) != width:
+            log.rows_rejected.append((line_no, f"expected {width} fields, got {len(fields)}"))
+            continue
+        source, target = display_label(fields[0]), display_label(fields[1])
+        if not source:
+            log.rows_rejected.append((line_no, "empty source"))
+            continue
+        if not target:
+            log.rows_rejected.append((line_no, "empty target"))
+            continue
+        weight = None
+        if width == 3 and fields[2].strip():
+            try:
+                weight = float(fields[2])
+            except ValueError:
+                log.rows_rejected.append((line_no, f"non-numeric weight {fields[2].strip()!r}"))
+                continue
+            if not math.isfinite(weight) or weight <= 0:
+                log.rows_rejected.append((line_no, f"weight must be positive, got {fields[2].strip()!r}"))
+                continue
+        out.append((source, target, weight, line_no))
+    return out, log
+
+
+def load_dataset_reference(edge_path, node_path=None, alias_path=None) -> tuple[Graph, CleaningLog]:
+    """`commgraph.ingest.load_dataset` in two stages, for differential tests."""
+    edge_rows, log = _parse_edge_csv_reference(edge_path)
+    records = list(parse_node_csv(node_path, log).values()) if node_path is not None else []
+    aliases = parse_alias_csv(alias_path) if alias_path is not None else {}
+
+    registry = {}
+    for r in records:
+        key = canonical_label(r.label)
+        if key in aliases and canonical_label(aliases[key]) != key:
+            raise IngestError(f"{node_path}: label {r.label!r} is an alias of {aliases[key]!r} in {alias_path}")
+        registry[key] = r
+    merged = set()
+
+    def resolve(name):
+        key = canonical_label(name)
+        if key in aliases:
+            target = aliases[key]
+            merged.add((name, target))
+            name, key = display_label(target), canonical_label(target)
+        if key not in registry:
+            registry[key] = NodeRecord(label=name, kind="other")
+        stored = registry[key].label
+        if stored != name:
+            merged.add((name, stored))
+        return stored
+
+    resolved = [(resolve(source), resolve(target), weight) for source, target, weight, _ in edge_rows]
+    ordered = tuple(registry[key] for key in sorted(registry))
+    index = {canonical_label(r.label): i for i, r in enumerate(ordered)}
+    weights = {}
+    for row, (source, target, weight) in zip(edge_rows, resolved):
+        u, v = index[canonical_label(source)], index[canonical_label(target)]
+        if u == v:
+            log.self_loops_dropped += 1
+            continue
+        pair = (min(u, v), max(u, v))
+        if pair in weights:
+            weights[pair] += 1.0 if weight is None else weight
+            log.duplicates_collapsed += 1
+            if weights[pair] == INF:
+                raise IngestError(
+                    f"{edge_path}: line {row[3]}: weight {row[2]!r} makes the collapsed weight of "
+                    f"{row[0]!r} and {row[1]!r} overflow"
+                )
+        else:
+            weights[pair] = 1.0 if weight is None else weight
+    nbrs = [[] for _ in ordered]
+    for (u, v), w in weights.items():
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+    log.labels_merged = sorted(merged)
+    return Graph(ordered, tuple(tuple(sorted(lst)) for lst in nbrs), len(weights)), log

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,6 +238,22 @@ def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, capsys):
     got = capsys.readouterr()
     assert got.out == want.out
     assert got.err == f"commgraph: warning: {dirty}: 2 rows rejected (first: line 2: control character U+0001)\n"
+
+
+def test_closeness_warning_names_the_first_isolated_node_once():
+    # it used to print `closeness of isolated node 10 reported as 0`: an internal
+    # id, with no prefix, one line per node. A subprocess shows the real stderr,
+    # which pytest's log capture would take over in process.
+    collab = SAMPLE / "collab"
+    src = str(SAMPLE.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    files = ["--edges", str(collab / "edges.csv"), "--nodes", str(collab / "nodes.csv"), "--aliases", str(collab / "aliases.csv")]
+    run = subprocess.run([sys.executable, "-m", "commgraph.cli", "centrality", *files], capture_output=True, text=True, env=env)
+    assert run.returncode == 0
+    assert run.stderr.splitlines() == [
+        f"commgraph: warning: {collab / 'edges.csv'}: 8 rows rejected (first: line 31: expected 3 fields, got 2)",
+        "commgraph: warning: closeness of 1 isolated nodes reported as 0 (first: 'Omicron Works')",
+    ]
 
 
 # every weight scaled alike: modularity is scale-free, so the answer is the unit-weight one

@@ -87,21 +87,30 @@ def test_aggregate_two_triangles_with_bridge(barbell):
     agg = aggregate_graph(AggregateGraph.from_graph(barbell), p)
     assert agg.node_count == 2
     assert agg.self_loops == [3.0, 3.0]
-    assert agg.adjacency[0] == {1: 1.0}
-    assert agg.total_weight() == pytest.approx(7.0)
+    assert agg.adjacency[0] == ((1, 1.0),)
+    assert agg.total_weight == pytest.approx(7.0)
+
+
+def test_louvain_form_shares_the_graph_adjacency_unless_scaling_is_needed():
+    g = _weighted_numbered_graph(3, [(0, 1), (1, 2)], [3.0, 0.25])
+    agg = AggregateGraph.from_graph(g)
+    assert agg.adjacency is g.adjacency
+    assert agg.total_weight == 3.25 and agg.total_weight is agg.total_weight
+    huge = _weighted_numbered_graph(3, [(0, 1), (1, 2)], [2.0**70, 2.0**66])
+    assert AggregateGraph.from_graph(huge).adjacency == (((1, 1.0),), ((0, 1.0), (2, 0.0625)), ((1, 0.0625),))
 
 
 def test_aggregate_singleton_partition_is_identity(barbell):
     agg = aggregate_graph(AggregateGraph.from_graph(barbell), singletons(6))
     assert agg.self_loops == [0.0] * 6
-    assert agg.adjacency == [dict(nbrs) for nbrs in barbell.adjacency]
+    assert agg.adjacency == barbell.adjacency
 
 
 def test_aggregate_all_in_one(barbell):
     agg = aggregate_graph(AggregateGraph.from_graph(barbell), one_block(6))
     assert agg.node_count == 1
     assert agg.self_loops == [7.0]
-    assert agg.total_weight() == pytest.approx(7.0)
+    assert agg.total_weight == pytest.approx(7.0)
 
 
 def test_aggregate_preserves_modularity(two_triangles):
@@ -338,7 +347,8 @@ def _component_of(adjacency, s):
 
 def test_girvan_newman_work_is_pinned(monkeypatch):
     # labels components once, evaluates Q once plus once per split, and runs
-    # one reach BFS per removal (two on a split) plus one per recomputed source
+    # one BFS per recomputed source: the reach BFS from u (and from v on a
+    # split) is the first of them
     import commgraph.community as community_module
     from commgraph.synth import gen_planted_partition
 
@@ -351,10 +361,10 @@ def test_girvan_newman_work_is_pinned(monkeypatch):
         adjacency[v].remove(u)
         side = _component_of(adjacency, u)
         if v in side:
-            bfs += 1 + len(side)
+            bfs += len(side)
         else:
             splits += 1
-            bfs += 2 + len(side) + len(_component_of(adjacency, v))
+            bfs += len(side) + len(_component_of(adjacency, v))
     assert splits == g.node_count - 1  # the planted graph is connected
 
     counts = _count_calls(monkeypatch, community_module, ["components", "_modularity_kernel", "shortest_paths"])
@@ -446,10 +456,12 @@ def test_louvain_matches_reference():
         assert louvain(g) == louvain_reference(g)
 
 
-@pytest.mark.parametrize("exponent", [-1000, -1, 1, 1000])
+@pytest.mark.parametrize("exponent", [-1000, -70, -1, 1, 70, 1000])
 def test_scaling_every_weight_by_a_power_of_two_changes_nothing(exponent):
     # the scaling is exact and Q is scale-free, so every tie and Q bit holds;
-    # at 2**-1000 Louvain's 2*m*m underflowed and at 2**1000 m*m overflowed
+    # at 2**-1000 Louvain's 2*m*m underflowed and at 2**1000 m*m overflowed.
+    # From 2**±70 on, `AggregateGraph.from_graph` scales the weights back,
+    # while the unscaled graph is used as it is
     for g in _louvain_differential_graphs()[::25]:
         scaled = _weighted_numbered_graph(
             g.node_count, [(u, v) for u, v, _ in g.edges()], [math.ldexp(w, exponent) for _, _, w in g.edges()]

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import io
+import random
 import re
 
 import pytest
@@ -12,6 +15,7 @@ from commgraph.ingest import (
     parse_edge_csv,
     parse_node_csv,
 )
+from oracles import load_dataset_reference
 
 
 def write(tmp_path, name, text):
@@ -87,7 +91,8 @@ def test_case_variants_collapse_downstream(tmp_path):
 
 def test_parse_node_csv_basic(tmp_path):
     p = write(tmp_path, "n.csv", "label,kind\nNorthside U,public\n")
-    recs = parse_node_csv(p)
+    assert list(parse_node_csv(p)) == ["northside u"]  # keyed by canonical label
+    recs = list(parse_node_csv(p).values())
     assert len(recs) == 1
     assert recs[0].label == "Northside U"
     assert recs[0].kind == "public"
@@ -98,7 +103,7 @@ def test_parse_node_csv_unknown_kind_falls_back(tmp_path):
 
     p = write(tmp_path, "n.csv", "label,kind\nX,Medical University\n")
     log = CleaningLog()
-    recs = parse_node_csv(p, log)
+    recs = list(parse_node_csv(p, log).values())
     assert recs[0].kind == "other"
     assert any("Medical University" in w for w in log.warnings)
 
@@ -111,7 +116,7 @@ def test_parse_node_csv_duplicate_labels_fatal(tmp_path):
 
 def test_parse_node_csv_score_and_location(tmp_path):
     p = write(tmp_path, "n.csv", "label,kind,location,score\nNorthside U,public,Springfield,41.5\nX,,,\n")
-    recs = parse_node_csv(p)
+    recs = list(parse_node_csv(p).values())
     assert recs[0].location == "Springfield"
     assert recs[0].external_score == 41.5
     assert recs[1].kind == "other"
@@ -340,3 +345,97 @@ def test_collapsed_weight_overflow_is_fatal_naming_the_row(tmp_path):
     g, log = load_dataset(e)
     assert list(g.edges()) == [(0, 1, 1.7e308)]
     assert log.duplicates_collapsed == 1
+
+
+_NAMES = ["Northside University", "City College", "Tech Institute", "Valley Medical", "Omicron Works", "Harbor Clinic"]
+# acronyms, one of them a chain: NU -> Northside Univ -> Northside University
+_ALIASES = [("NU", "Northside Univ"), ("Northside Univ", "Northside University"), ("CC", "City College"),
+            ("harbor  clinic", "HARBOR Clinic")]
+
+
+def _spell(rng, label):
+    """`label` as written in dirty records: case and whitespace variants, or an alias that names it."""
+    if rng.random() < 0.2:
+        return rng.choice([variant for variant, target in _ALIASES if target == label] or [label])
+    return rng.choice([label, label.upper(), label.lower(), label.swapcase(), f"  {label.replace(' ', '   ')}\t"])
+
+
+def _dirty_edge_bytes(rng) -> bytes:
+    """A weighted or unweighted edge CSV with every kind of row ingest cleans or rejects."""
+    weighted = rng.random() < 0.7
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=rng.choice(["\n", "\r\n"]))
+    writer.writerow(["source", "target", "weight"][: 2 + weighted])
+    names = _NAMES + ["Tech Institute\nAnnex", "Valley  Medical ", "St. Mary's"]
+    for _ in range(rng.randrange(1, 40)):
+        a, b = rng.choice(names), rng.choice(names)
+        if rng.random() < 0.1:
+            b = a  # a self-loop, spelled alike or not
+        row = [_spell(rng, a), _spell(rng, b)]
+        if weighted:
+            row.append(rng.choice(["1", "2", "0.1", "1/3", "2.5e0", "", " ", "abc", "0", "-1", "nan", "inf", "1e308"]))
+        pick = rng.random()
+        if pick < 0.04:
+            row = row[:1]
+        elif pick < 0.08:
+            row.append("extra")
+        elif pick < 0.12:
+            row[rng.randrange(2)] = rng.choice(["", "  ", "\t"])
+        elif pick < 0.16:
+            row[rng.randrange(2)] += rng.choice(["\x01", "\x1b", "\ufffe", "\x00"])
+        elif pick < 0.2:
+            row = [""] * len(row)  # a blank row
+        writer.writerow(row)
+    if weighted and rng.random() < 0.1:  # a pair whose collapsed weight overflows
+        writer.writerow(["Omicron Works", "City College", "1e308"])
+        writer.writerow([_spell(rng, "City College"), _spell(rng, "Omicron Works"), "1e308"])
+    data = buf.getvalue().encode()
+    if rng.random() < 0.1:  # a row that is not UTF-8
+        data += b"\xff\xfeA,B" + b",1" * weighted + b"\n"
+    return data
+
+
+def _outcome(load, *paths):
+    try:
+        return load(*paths)
+    except IngestError as exc:
+        return str(exc)
+
+
+def test_load_dataset_matches_the_two_stage_reference_on_dirty_inputs(tmp_path):
+    edges, nodes, aliases = tmp_path / "edges.csv", tmp_path / "nodes.csv", tmp_path / "aliases.csv"
+    rng = random.Random(2024)
+    seen = {"graph": 0, "overflow": 0, "other error": 0}
+    for _ in range(300):
+        edges.write_bytes(_dirty_edge_bytes(rng))
+        node_rows = [["label", "kind", "location", "score"]]
+        node_rows += [[_spell(rng, n) if rng.random() < 0.3 else n, rng.choice(["public", "Medical", "lab", ""]),
+                       rng.choice(["Graz", " Lund ", ""]), rng.choice(["1.5", "", "0"])]
+                      for n in rng.sample(_NAMES, rng.randrange(len(_NAMES)))]
+        if rng.random() < 0.1:
+            node_rows += [["Omicron Works", "", "", ""], ["Omicron  works", "", "", ""]]  # a duplicate label: fatal
+        with open(nodes, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(node_rows)
+        with open(aliases, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["variant", "canonical"], *rng.sample(_ALIASES, rng.randrange(len(_ALIASES) + 1))])
+        files = [edges, nodes, aliases][: rng.randrange(1, 4)]
+        got = _outcome(load_dataset, *files)
+        assert got == _outcome(load_dataset_reference, *files)
+        seen["graph" if isinstance(got, tuple) else "overflow" if "overflow" in got else "other error"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize(
+    "edge_bytes",
+    [b"from,to\nA,B\n", b"source,target\nA,B\nA," + b"x" * 131073 + b"\n"],
+    ids=["header", "field-limit"],
+)
+def test_edge_file_error_is_reported_before_node_and_alias_errors(tmp_path, edge_bytes):
+    # the edge rows are read lazily, but to the end before the node file is opened
+    e, n, a = tmp_path / "e.csv", tmp_path / "n.csv", tmp_path / "a.csv"
+    e.write_bytes(edge_bytes)
+    n.write_bytes(b"label\nA\na\n")  # a duplicate label
+    a.write_bytes(b"from,to\n")
+    got = _outcome(load_dataset, e, n, a)
+    assert got.startswith(f"{e}: ")
+    assert got == _outcome(load_dataset_reference, e, n, a)
