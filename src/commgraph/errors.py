@@ -6,14 +6,14 @@ class CommGraphError(Exception):
 
 
 class GraphBuildError(CommGraphError):
-    """Raised when edge/node inputs cannot form a valid graph.
+    """Raised when parallel edge weights sum to inf while a graph is assembled.
 
     Attributes:
         edge: 1-based position of the edge whose weight overflowed its
-            collapsed sum, else None.
+            collapsed sum.
     """
 
-    def __init__(self, message: str, edge: int | None = None):
+    def __init__(self, message: str, edge: int):
         super().__init__(message)
         self.edge = edge
 

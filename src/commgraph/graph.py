@@ -5,10 +5,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GraphBuildError
-
-INSTITUTION_KINDS = ("public", "medical", "technical", "other")
 
 INF = math.inf
 
@@ -55,8 +54,7 @@ class Memo(dict):
         return value
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     """Institution attributes carried on a node.
 
     `external_score` is an opaque imported attribute; nothing in this package
@@ -67,22 +65,6 @@ class NodeRecord:
     kind: str = "other"
     location: str | None = None
     external_score: float | None = None
-
-    def __post_init__(self):
-        if not display_label(self.label):
-            raise GraphBuildError("node label must be non-empty")
-        if self.kind not in INSTITUTION_KINDS:
-            raise GraphBuildError(f"unknown institution kind {self.kind!r}")
-        if self.external_score is not None and self.external_score < 0:
-            raise GraphBuildError(f"external_score must be non-negative, got {self.external_score}")
-
-
-@dataclass
-class BuildCounts:
-    """Cleaning events observed while assembling a graph from raw pairs."""
-
-    duplicates_collapsed: int = 0
-    self_loops_dropped: int = 0
 
 
 @dataclass(frozen=True)
@@ -160,58 +142,29 @@ class Partition:
             raise ValueError("community ids must be 0..community_count-1 in order of first appearance")
 
 
-def build_graph(records, edges) -> tuple[Graph, BuildCounts]:
-    """Assemble a Graph from node records and (label, label[, weight]) pairs.
-
-    Endpoint labels are matched by canonical form and must resolve to a
-    record; the pairs then go through `collapse_edges`.
-    """
-    records = tuple(records)
-    index: dict[str, int] = {}
-    for i, rec in enumerate(records):
-        key = canonical_label(rec.label)
-        if key in index:
-            raise GraphBuildError(f"duplicate node label {rec.label!r} after canonicalization")
-        index[key] = i
-    # endpoint label -> node id, canonicalized once per distinct spelling
-    ids = Memo(lambda label: index[canonical_label(label)])
-
-    def id_edges():
-        for pos, edge in enumerate(edges, start=1):
-            src, dst = edge[:2]
-            try:
-                u, v = ids[src], ids[dst]
-            except KeyError:
-                unknown = dst if src in ids else src
-                raise GraphBuildError(f"unknown endpoint label {unknown!r} (edge {pos})") from None
-            yield u, v, edge[2] if len(edge) == 3 else None
-
-    return collapse_edges(records, id_edges())
-
-
-def collapse_edges(records, edges) -> tuple[Graph, BuildCounts]:
+def collapse_edges(records, edges) -> tuple[Graph, int, int]:
     """Assemble a Graph from node records and (u, v, weight) node-id triples.
 
-    A weight of None counts as 1.0. Parallel edges collapse by summing
-    weights, and a sum that overflows to inf is an error naming the edge by
-    its 1-based position; self-loops are dropped and counted.
+    Returns the graph, the number of parallel edges collapsed and the number
+    of self-loops dropped. A weight of None counts as 1.0; weights are
+    positive and finite (ingest rejects any other row). Parallel edges
+    collapse by summing weights, and a sum that overflows to inf is an error
+    naming the edge by its 1-based position.
     """
     records = tuple(records)
     n = len(records)
-    counts = BuildCounts()
+    duplicates = self_loops = 0
     weights: dict[int, float] = {}  # keyed u * n + v with u < v: an int hashes faster than a pair
     for pos, (u, v, w) in enumerate(edges, start=1):
         if w is None:
             w = 1.0
-        elif not 0 < w < INF:
-            raise GraphBuildError(f"edge {pos}: weight must be positive, got {w!r}")
         if u == v:
-            counts.self_loops_dropped += 1
+            self_loops += 1
             continue
         key = u * n + v if u < v else v * n + u
         if key in weights:
             total = weights[key] = weights[key] + w
-            counts.duplicates_collapsed += 1
+            duplicates += 1
             if total == INF:
                 raise GraphBuildError(
                     f"edge {pos}: collapsed weight of {records[u].label!r} and {records[v].label!r} overflows", edge=pos
@@ -234,7 +187,7 @@ def collapse_edges(records, edges) -> tuple[Graph, BuildCounts]:
     # they lie together in memory. Louvain reads them node by node; with the
     # weights left where the edge rows put them, its sweep ran about 15% slower.
     adjacency = tuple(tuple(zip(vs, [w * 1.0 for w in ws])) for vs, ws in zip(ends, ends_weights))
-    return Graph(records, adjacency, len(weights)), counts
+    return Graph(records, adjacency, len(weights)), duplicates, self_loops
 
 
 def shortest_paths(adjacency, source: int) -> tuple[list[int], list[float], list[int], list[list[int]]]:

@@ -28,16 +28,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import GraphBuildError, IngestError
-from .graph import (
-    INSTITUTION_KINDS,
-    BuildCounts,
-    Graph,
-    Memo,
-    NodeRecord,
-    canonical_label,
-    collapse_edges,
-    display_label,
-)
+from .graph import Graph, Memo, NodeRecord, canonical_label, collapse_edges, display_label
+
+INSTITUTION_KINDS = ("public", "medical", "technical", "other")
 
 
 class RawEdgeRow(NamedTuple):
@@ -58,10 +51,6 @@ class CleaningLog:
     labels_merged: list[tuple[str, str]] = field(default_factory=list)
     rows_rejected: list[tuple[int, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    def absorb(self, counts: BuildCounts) -> None:
-        self.duplicates_collapsed += counts.duplicates_collapsed
-        self.self_loops_dropped += counts.self_loops_dropped
 
 
 # header specs: (the header as documented, a test of the stripped, case-folded header)
@@ -175,10 +164,10 @@ def parse_edge_csv(path) -> tuple[list[RawEdgeRow], CleaningLog]:
     return out, log
 
 
-def parse_node_csv(path, log: CleaningLog | None = None) -> dict[str, NodeRecord]:
+def parse_node_csv(path, log: CleaningLog) -> dict[str, NodeRecord]:
     """Read node records, keyed by canonical label in file order.
 
-    Unknown kinds fall back to `other` with a warning.
+    Unknown kinds fall back to `other` with a warning on `log`.
     """
     header, rows = _read_table(path, _NODE)
     col = {name: header.index(name) for name in header}
@@ -206,7 +195,7 @@ def parse_node_csv(path, log: CleaningLog | None = None) -> dict[str, NodeRecord
             raw_kind = fields[col["kind"]].strip().casefold()
             if raw_kind in INSTITUTION_KINDS:
                 kind = raw_kind
-            elif log is not None:
+            else:
                 log.warnings.append(f"line {line_no}: unknown kind {fields[col['kind']].strip()!r} mapped to 'other'")
 
         location = None
@@ -303,19 +292,16 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
     position = {key: i for i, key in enumerate(keys)}
     ids = {name: position[key] for name, key in node_key.items()}
     try:
-        graph, counts = collapse_edges(
+        graph, log.duplicates_collapsed, log.self_loops_dropped = collapse_edges(
             [registry[key] for key in keys],
             ((ids[source], ids[target], weight) for source, target, weight, _ in edge_rows),
         )
     except GraphBuildError as exc:
-        if exc.edge is None:
-            raise
         row = edge_rows[exc.edge - 1]
         raise IngestError(
             f"{edge_path}: line {row.line_no}: weight {row.weight!r} makes the collapsed weight of "
             f"{row.source_label!r} and {row.target_label!r} overflow"
         ) from None
-    log.absorb(counts)
     log.labels_merged = sorted(merged)
     return graph, log
 

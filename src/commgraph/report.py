@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -295,17 +295,7 @@ def report_to_json(report: AnalysisReport) -> str:
         for v in order
     ]
     payload = {
-        "metrics": {
-            "node_count": report.metrics.node_count,
-            "edge_count": report.metrics.edge_count,
-            "average_degree": report.metrics.average_degree,
-            "density": report.metrics.density,
-            "average_path_length": report.metrics.average_path_length,
-            "diameter": report.metrics.diameter,
-            "average_clustering": report.metrics.average_clustering,
-            "is_connected": report.metrics.is_connected,
-            "component_count": report.metrics.component_count,
-        },
+        "metrics": asdict(report.metrics),
         "centrality": {
             "table": table,
             "top_k": {m: [[lab, s] for lab, s in report.top_k[m]] for m in MEASURES},
@@ -322,13 +312,7 @@ def report_to_json(report: AnalysisReport) -> str:
             "method": report.correlation_method,
             "matrix": report.correlation,
         },
-        "cleaning": {
-            "duplicates_collapsed": report.cleaning.duplicates_collapsed,
-            "self_loops_dropped": report.cleaning.self_loops_dropped,
-            "labels_merged": [list(pair) for pair in report.cleaning.labels_merged],
-            "rows_rejected": [[ln, reason] for ln, reason in report.cleaning.rows_rejected],
-            "warnings": report.cleaning.warnings,
-        },
+        "cleaning": asdict(report.cleaning),
         "meta": {
             "tool_version": report.tool_version,
             "input_digest": report.input_digest,

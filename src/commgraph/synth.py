@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph, NodeRecord, Partition, build_graph
+from .graph import Graph, NodeRecord, Partition, collapse_edges
 
 GENERATOR_KINDS = ("ring_of_cliques", "planted_partition")
 
@@ -31,16 +31,14 @@ def gen_ring_of_cliques(cliques: int, clique_size: int) -> tuple[Graph, Partitio
     if clique_size < 3:
         raise ValueError("clique size must be at least 3")
     n = cliques * clique_size
-    labels = _labels(n)
-    pairs = []
+    triples = []
     for c in range(cliques):
         base = c * clique_size
         for i in range(clique_size):
             for j in range(i + 1, clique_size):
-                pairs.append((base + i, base + j))
-        pairs.append((base + clique_size - 1, ((c + 1) % cliques) * clique_size))
-    records = [NodeRecord(label=lab) for lab in labels]
-    g, _ = build_graph(records, [(labels[u], labels[v]) for u, v in pairs])
+                triples.append((base + i, base + j, None))
+        triples.append((base + clique_size - 1, ((c + 1) % cliques) * clique_size, None))
+    g, _, _ = collapse_edges([NodeRecord(label=lab) for lab in _labels(n)], triples)
     truth = Partition.from_assignment([v // clique_size for v in range(n)])
     return g, truth
 
@@ -59,16 +57,14 @@ def gen_planted_partition(
     if not 0 <= p_out < p_in <= 1 and not (p_in == p_out == 0):
         raise ValueError("need 0 <= p_out < p_in <= 1")
     n = blocks * block_size
-    labels = _labels(n)
     rng = random.Random(seed)
-    pairs = []
+    triples = []
     for u in range(n):
         for v in range(u + 1, n):
             p = p_in if u // block_size == v // block_size else p_out
             if rng.random() < p:
-                pairs.append((u, v))
-    records = [NodeRecord(label=lab) for lab in labels]
-    g, _ = build_graph(records, [(labels[u], labels[v]) for u, v in pairs])
+                triples.append((u, v, None))
+    g, _, _ = collapse_edges([NodeRecord(label=lab) for lab in _labels(n)], triples)
     truth = Partition.from_assignment([v // block_size for v in range(n)])
     return g, truth
 

@@ -8,18 +8,15 @@ import pytest
 import commgraph.centrality as centrality_module
 from commgraph.community import _edge_dependencies, _edge_index
 from commgraph.errors import ConvergenceError
-from commgraph.graph import NodeRecord, Partition, build_graph
+from commgraph.graph import NodeRecord, Partition, collapse_edges
 
 
 def make_graph(n: int, pairs, weights=None):
     """Small-graph helper: nodes A, B, C, ... plus integer-id edge pairs."""
-    labels = [chr(ord("A") + i) for i in range(n)]
-    records = [NodeRecord(label=lab) for lab in labels]
+    records = [NodeRecord(label=chr(ord("A") + i)) for i in range(n)]
     if weights is None:
-        edges = [(labels[u], labels[v]) for u, v in pairs]
-    else:
-        edges = [(labels[u], labels[v], w) for (u, v), w in zip(pairs, weights)]
-    g, _ = build_graph(records, edges)
+        weights = [None] * len(pairs)
+    g, _, _ = collapse_edges(records, [(u, v, w) for (u, v), w in zip(pairs, weights)])
     return g
 
 
@@ -51,8 +48,9 @@ def import_graph_json(text: str):
         )
         for n in payload["nodes"]
     ]
-    edges = [(e["source"], e["target"], e["weight"]) for e in payload["edges"]]
-    g, _ = build_graph(records, edges)
+    ids = {r.label: i for i, r in enumerate(records)}
+    edges = [(ids[e["source"]], ids[e["target"]], e["weight"]) for e in payload["edges"]]
+    g, _, _ = collapse_edges(records, edges)
     return g
 
 

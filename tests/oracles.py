@@ -35,8 +35,8 @@ from commgraph.graph import (
     Graph,
     NodeRecord,
     Partition,
-    build_graph,
     canonical_label,
+    collapse_edges,
     components,
     display_label,
     left_sum,
@@ -64,8 +64,8 @@ def random_graph(rng: random.Random, max_nodes: int = 7) -> Graph:
     edges = []
     for u, v in itertools.combinations(range(n), 2):
         if rng.random() < p:
-            edges.append((f"n{u}", f"n{v}"))
-    g, _ = build_graph(records, edges)
+            edges.append((u, v, None))
+    g, _, _ = collapse_edges(records, edges)
     return g
 
 

@@ -17,7 +17,7 @@ from commgraph.centrality import (
     pagerank,
     rank_top_k,
 )
-from commgraph.graph import NodeRecord, build_graph
+from commgraph.graph import NodeRecord, collapse_edges
 from conftest import make_graph, pagerank_iterates
 from oracles import (
     betweenness_by_enumeration,
@@ -210,9 +210,7 @@ def test_label_invariance_under_relabeling():
         records = [None] * n
         for old, new in enumerate(perm):
             records[new] = NodeRecord(label=f"n{old}")
-        labels = [r.label for r in records]
-        edges = [(labels[perm[u]], labels[perm[v]], w) for u, v, w in g.edges()]
-        g2, _ = build_graph(records, edges)
+        g2, _, _ = collapse_edges(records, [(perm[u], perm[v], w) for u, v, w in g.edges()])
         for measure, vec in all_centralities(g).items():
             vec2 = all_centralities(g2)[measure]
             for old in range(n):

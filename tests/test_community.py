@@ -18,7 +18,7 @@ from commgraph.community import (
     partition_to_csv,
     _modularity_kernel,
 )
-from commgraph.graph import NodeRecord, Partition, build_graph, components
+from commgraph.graph import NodeRecord, Partition, collapse_edges, components
 from conftest import edge_betweenness, make_graph
 from oracles import (
     edge_betweenness_by_enumeration,
@@ -210,9 +210,7 @@ def test_louvain_relabeling_gives_isomorphic_partition():
             records = [None] * n
             for old, new in enumerate(perm):
                 records[new] = NodeRecord(label=f"n{old}")
-            labels = [r.label for r in records]
-            edges = [(labels[perm[u]], labels[perm[v]], w) for u, v, w in g.edges()]
-            g2, _ = build_graph(records, edges)
+            g2, _, _ = collapse_edges(records, [(perm[u], perm[v], w) for u, v, w in g.edges()])
             p1 = louvain(g).final_partition
             p2 = louvain(g2).final_partition
             pulled_back = Partition.from_assignment([p2.assignment[perm[v]] for v in range(n)])
@@ -289,7 +287,7 @@ def test_girvan_newman_nonnegative_on_disconnected():
 
 def _numbered_graph(n, pairs):
     records = [NodeRecord(label=f"n{i}") for i in range(n)]
-    g, _ = build_graph(records, [(f"n{u}", f"n{v}") for u, v in pairs])
+    g, _, _ = collapse_edges(records, [(u, v, None) for u, v in pairs])
     return g
 
 
@@ -387,7 +385,7 @@ def test_louvain_evaluates_no_q_for_a_level_that_moved_nothing(monkeypatch):
 
 def _weighted_numbered_graph(n, pairs, weights):
     records = [NodeRecord(label=f"n{i}") for i in range(n)]
-    g, _ = build_graph(records, [(f"n{u}", f"n{v}", w) for (u, v), w in zip(pairs, weights)])
+    g, _, _ = collapse_edges(records, [(u, v, w) for (u, v), w in zip(pairs, weights)])
     return g
 
 

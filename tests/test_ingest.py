@@ -9,6 +9,7 @@ import pytest
 
 from commgraph.errors import IngestError
 from commgraph.ingest import (
+    CleaningLog,
     edges_to_csv,
     load_dataset,
     parse_alias_csv,
@@ -91,16 +92,14 @@ def test_case_variants_collapse_downstream(tmp_path):
 
 def test_parse_node_csv_basic(tmp_path):
     p = write(tmp_path, "n.csv", "label,kind\nNorthside U,public\n")
-    assert list(parse_node_csv(p)) == ["northside u"]  # keyed by canonical label
-    recs = list(parse_node_csv(p).values())
+    assert list(parse_node_csv(p, CleaningLog())) == ["northside u"]  # keyed by canonical label
+    recs = list(parse_node_csv(p, CleaningLog()).values())
     assert len(recs) == 1
     assert recs[0].label == "Northside U"
     assert recs[0].kind == "public"
 
 
 def test_parse_node_csv_unknown_kind_falls_back(tmp_path):
-    from commgraph.ingest import CleaningLog
-
     p = write(tmp_path, "n.csv", "label,kind\nX,Medical University\n")
     log = CleaningLog()
     recs = list(parse_node_csv(p, log).values())
@@ -111,12 +110,12 @@ def test_parse_node_csv_unknown_kind_falls_back(tmp_path):
 def test_parse_node_csv_duplicate_labels_fatal(tmp_path):
     p = write(tmp_path, "n.csv", "label\nNorthside U\nnorthside  u \n")
     with pytest.raises(IngestError, match=r"lines 2 and 3"):
-        parse_node_csv(p)
+        parse_node_csv(p, CleaningLog())
 
 
 def test_parse_node_csv_score_and_location(tmp_path):
     p = write(tmp_path, "n.csv", "label,kind,location,score\nNorthside U,public,Springfield,41.5\nX,,,\n")
-    recs = list(parse_node_csv(p).values())
+    recs = list(parse_node_csv(p, CleaningLog()).values())
     assert recs[0].location == "Springfield"
     assert recs[0].external_score == 41.5
     assert recs[1].kind == "other"
@@ -126,7 +125,7 @@ def test_parse_node_csv_score_and_location(tmp_path):
 def test_parse_node_csv_negative_score_fatal(tmp_path):
     p = write(tmp_path, "n.csv", "label,score\nNorthside U,-2\n")
     with pytest.raises(IngestError, match="non-negative"):
-        parse_node_csv(p)
+        parse_node_csv(p, CleaningLog())
 
 
 def test_alias_csv_merges_variants(tmp_path):
@@ -238,7 +237,7 @@ def test_alias_longer_cycle_names_only_its_labels(tmp_path):
         parse_alias_csv(a)
 
 
-PARSERS = {"edge": parse_edge_csv, "node": parse_node_csv, "alias": parse_alias_csv}
+PARSERS = {"edge": parse_edge_csv, "node": lambda p: parse_node_csv(p, CleaningLog()), "alias": parse_alias_csv}
 
 
 @pytest.mark.parametrize("kind", PARSERS)

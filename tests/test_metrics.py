@@ -6,7 +6,7 @@ import random
 import pytest
 
 from commgraph.errors import EmptyGraphError
-from commgraph.graph import Graph, NodeRecord, build_graph
+from commgraph.graph import Graph, NodeRecord, collapse_edges
 from commgraph.metrics import global_metrics, local_clustering
 from conftest import make_graph
 from oracles import floyd_warshall, random_graph
@@ -35,9 +35,9 @@ def test_local_clustering_degree_below_two():
 
 def test_table_scale_degree_and_density():
     recs = [NodeRecord(label=f"u{i}") for i in range(183)]
-    edges = [(f"u{i}", f"u{i+1}") for i in range(182)]
-    edges += [(f"u{i}", f"u{i+2}") for i in range(320 - 182)]
-    g, _ = build_graph(recs, edges)
+    edges = [(i, i + 1, None) for i in range(182)]
+    edges += [(i, i + 2, None) for i in range(320 - 182)]
+    g, _, _ = collapse_edges(recs, edges)
     rep = global_metrics(g)
     assert rep.average_degree == pytest.approx(3.4973, abs=1e-4)
     assert round(rep.density, 3) == 0.019
@@ -132,9 +132,7 @@ def test_adding_edge_never_increases_path_stats():
             continue
         trials += 1
         u, v = rng.choice(absent)
-        labels = g.labels
-        edges = [(labels[a], labels[b], w) for a, b, w in g.edges()] + [(labels[u], labels[v], 1.0)]
-        g2, _ = build_graph(g.records, edges)
+        g2, _, _ = collapse_edges(g.records, [*g.edges(), (u, v, 1.0)])
         before, after = global_metrics(g), global_metrics(g2)
         assert after.average_path_length <= before.average_path_length
         assert after.diameter <= before.diameter

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
+from commgraph.community import partition_to_csv
 from commgraph.ingest import edges_to_csv
 from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
 
@@ -66,6 +68,40 @@ def test_generation_is_byte_identical():
         g2, p2 = generate()
         assert edges_to_csv(g1) == edges_to_csv(g2)
         assert p1 == p2
+
+
+# sha256 of edges_to_csv and of partition_to_csv: pins the generated bytes across versions
+_PLANTED_PARTITION = "7a4912b8c505f80c4e39371e92b22dd81e0d66d990f6ff44aa99036434af4dac"
+_GENERATED_DIGESTS = {
+    "ring_4x5": (
+        lambda: gen_ring_of_cliques(4, 5),
+        "d976d1383bd17b7e0e38f6e84f8ff0c2283fb1cc26dac0452c03a7a12191be79",
+        "bf48ae51e0db99b38864b55c404991dd0d8ae484ea79b2fd3ed59ec85d8b9d2e",
+    ),
+    "planted_seed1": (
+        lambda: gen_planted_partition(4, 32, 0.3, 0.02, seed=1),
+        "87bc962f275b7e486af3b722d15d1a8fa8ee393315d4dc3513790fbdd732c4d0",
+        _PLANTED_PARTITION,
+    ),
+    "planted_seed2": (
+        lambda: gen_planted_partition(4, 32, 0.3, 0.02, seed=2),
+        "6fb3de5dba375e497c68a7de0930487dcb2ad6ef142a95845c6c2470172543a8",
+        _PLANTED_PARTITION,
+    ),
+    "planted_seed3": (
+        lambda: gen_planted_partition(4, 32, 0.3, 0.02, seed=3),
+        "9d5333b1825a87a15f3f5260ba857e6f6f6db369dd5fb66c2ecd288ad115a264",
+        _PLANTED_PARTITION,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _GENERATED_DIGESTS)
+def test_generated_bytes_match_pinned_digests(case):
+    generate, edges_digest, partition_digest = _GENERATED_DIGESTS[case]
+    g, truth = generate()
+    assert hashlib.sha256(edges_to_csv(g).encode()).hexdigest() == edges_digest
+    assert hashlib.sha256(partition_to_csv(g.labels, truth).encode()).hexdigest() == partition_digest
 
 
 def test_generated_graphs_satisfy_core_invariants():
