@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegenerateGraphError
-from .graph import Graph, canonical_label, left_sum
+from .graph import Graph, left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -39,10 +39,6 @@ PAGERANK_MAX_ITER = 200
 class CentralityVector:
     measure: str
     scores: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
 
 
 def degree_centrality(g: Graph) -> CentralityVector:
@@ -91,19 +87,13 @@ def harmonic_centrality(g: Graph) -> CentralityVector:
     return CentralityVector("harmonic", tuple(total / (n - 1) if n > 1 else total for total in totals))
 
 
-def check_damping(damping: float) -> None:
-    """Reject a damping factor outside the open interval (0, 1)."""
-    if not 0 < damping < 1:
-        raise ValueError(f"damping must lie in (0, 1), got {damping}")
-
-
 def pagerank(g: Graph, damping: float = 0.85) -> CentralityVector:
     """Damped random-walk fixed point, undirected edges as reciprocal links.
 
     Scores solve PR(v) = (1-d)/N + d * sum(PR(u)/deg(u)) and sum to 1;
-    isolated nodes redistribute their mass uniformly.
+    isolated nodes redistribute their mass uniformly. `damping` lies in
+    (0, 1); the CLI parser checks it.
     """
-    check_damping(damping)
     n = g.node_count
     degree = [g.degree(v) for v in range(n)]
     ranks = [1 / n] * n
@@ -125,15 +115,10 @@ def pagerank(g: Graph, damping: float = 0.85) -> CentralityVector:
     )
 
 
-def rank_top_k(vec: CentralityVector, k: int, labels) -> list[tuple[str, float]]:
-    """Top-k (label, score), descending score, ties by ascending label."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    order = sorted(
-        zip(labels, vec.scores),
-        key=lambda item: (-item[1], canonical_label(item[0]), item[0]),
-    )
-    return order[: min(k, len(order))]
+def rank_top_k(vec: CentralityVector, k: int, g: Graph) -> list[tuple[str, float]]:
+    """Top-k (label, score) of `g`'s nodes, descending score, ties in `g.label_order`; k is at least 1."""
+    order = sorted(g.label_order, key=lambda v: -vec.scores[v])  # a stable sort keeps label order on ties
+    return [(g.labels[v], vec.scores[v]) for v in order[:k]]
 
 
 def all_centralities(g: Graph, damping: float = 0.85) -> dict[str, CentralityVector]:
@@ -152,9 +137,6 @@ def centrality_table_csv(g: Graph, vectors: dict[str, CentralityVector]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label"] + list(MEASURES))
-    rows = sorted(
-        range(g.node_count), key=lambda v: (canonical_label(g.labels[v]), g.labels[v])
-    )
-    for v in rows:
+    for v in g.label_order:
         writer.writerow([g.labels[v]] + [format(vectors[m].scores[v], ".6g") for m in MEASURES])
     return buf.getvalue()

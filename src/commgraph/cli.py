@@ -9,11 +9,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .centrality import all_centralities, centrality_table_csv, check_damping
+from .centrality import all_centralities, centrality_table_csv
 from .community import girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
 from .errors import CommGraphError
 from .ingest import edges_to_csv, load_dataset
-from .report import EXPORT_FORMATS, export_graph, report_to_json, run_pipeline
+from .report import EXPORT_FORMATS, community_graph, export_graph, report_to_json, run_pipeline, write_outputs
 from .synth import GENERATOR_KINDS, gen_planted_partition, gen_ring_of_cliques
 
 
@@ -21,6 +21,29 @@ def _add_input_args(parser):
     parser.add_argument("--edges", required=True, help="edge CSV (source,target[,weight])")
     parser.add_argument("--nodes", help="node CSV (label[,kind][,location][,score])")
     parser.add_argument("--aliases", help="alias CSV (variant,canonical)")
+
+
+def _checked(convert, test, expected: str):
+    """An argparse `type=` that converts a flag value, then rejects it unless `test` holds."""
+
+    def check(text: str):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse's "invalid int value: 'abc'" names it
+    return check
+
+
+# each kind of flag value is checked here and nowhere downstream
+_DAMPING = _checked(float, lambda d: 0 < d < 1, "a number in (0, 1)")
+_TOP_K = _checked(int, lambda k: k >= 1, "an integer of at least 1")
+_EXPORTS = _checked(
+    lambda text: [f for f in text.split(",") if f],
+    lambda formats: set(formats) <= set(EXPORT_FORMATS),
+    "a comma-separated list of " + ", ".join(EXPORT_FORMATS),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--validate-gn", action="store_true", help="also run divisive Girvan-Newman validation")
     analyze.add_argument("--spearman", action="store_true", help="rank-based correlation instead of Pearson")
     analyze.add_argument("--out", help="output directory (report prints to stdout when omitted)")
-    analyze.add_argument("--export", default="", help="comma-separated graph formats: gexf,dot,json")
-    analyze.add_argument("--top-k", type=int, default=5)
-    analyze.add_argument("--damping", type=float, default=0.85)
+    analyze.add_argument("--export", type=_EXPORTS, default=(), help="comma-separated graph formats: gexf,dot,json (needs --out)")
+    analyze.add_argument("--top-k", type=_TOP_K, default=5)
+    analyze.add_argument("--damping", type=_DAMPING, default=0.85)
     analyze.add_argument("--seed", type=int, help="recorded in report metadata")
 
     synth = sub.add_parser("synth", help="emit a synthetic benchmark graph")
@@ -66,15 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     centrality = sub.add_parser("centrality", help="per-node centrality CSV")
     _add_input_args(centrality)
-    centrality.add_argument("--damping", type=float, default=0.85)
+    centrality.add_argument("--damping", type=_DAMPING, default=0.85)
     centrality.add_argument("--out", help="output file (stdout when omitted)")
 
     communities = sub.add_parser("communities", help="community assignment CSV")
     _add_input_args(communities)
     communities.add_argument("--weighted", action="store_true")
-    communities.add_argument("--validate-gn", action="store_true")
     communities.add_argument("--out", help="partition CSV file (stdout when omitted)")
-    communities.add_argument("--gn-out", help="Girvan-Newman trace CSV file")
+    communities.add_argument("--gn-out", help="also run Girvan-Newman and write its trace CSV to this file")
 
     return parser
 
@@ -93,7 +115,6 @@ def _require(args, names):
 
 
 def _cmd_analyze(args) -> None:
-    exports = [f for f in args.export.split(",") if f]
     report = run_pipeline(
         args.edges,
         args.nodes,
@@ -104,11 +125,11 @@ def _cmd_analyze(args) -> None:
         top_k=args.top_k,
         damping=args.damping,
         seed=args.seed,
-        out_dir=args.out,
-        exports=exports,
     )
     if args.out is None:
         sys.stdout.write(report_to_json(report))
+    else:
+        write_outputs(report, args.out, args.export)
 
 
 def _cmd_synth(args) -> None:
@@ -121,11 +142,11 @@ def _cmd_synth(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "edges.csv").write_text(edges_to_csv(g), encoding="utf-8")
-    (out / "partition.csv").write_text(partition_to_csv(g.labels, truth), encoding="utf-8")
+    (out / "partition.csv").write_text(partition_to_csv(g, truth), encoding="utf-8")
 
 
-def _load(args, weighted: bool):
-    """Ingest the input files, naming rejected edge rows on stderr; unweighted unless asked."""
+def _load(args):
+    """Ingest the input files, naming rejected edge rows on stderr."""
     g, log = load_dataset(args.edges, args.nodes, args.aliases)
     if log.rows_rejected:
         line_no, reason = log.rows_rejected[0]
@@ -134,28 +155,27 @@ def _load(args, weighted: bool):
             f"(first: line {line_no}: {reason})",
             file=sys.stderr,
         )
-    return g if weighted else g.unweighted()
+    return g
 
 
 def _cmd_export(args) -> None:
-    g = _load(args, args.weighted)
+    g = community_graph(_load(args), args.weighted)
     partition = scores = None
     if args.with_analytics:
         partition = louvain(g).final_partition
-        scores = list(all_centralities(g.unweighted()).values())
+        scores = list(all_centralities(g).values())
     _write_or_print(export_graph(g, partition, scores, args.format), args.out)
 
 
 def _cmd_centrality(args) -> None:
-    check_damping(args.damping)
-    g = _load(args, False)
+    g = _load(args)
     _write_or_print(centrality_table_csv(g, all_centralities(g, damping=args.damping)), args.out)
 
 
 def _cmd_communities(args) -> None:
-    g = _load(args, args.weighted)
-    _write_or_print(partition_to_csv(g.labels, louvain(g).final_partition), args.out)
-    if args.validate_gn:
+    g = community_graph(_load(args), args.weighted)
+    _write_or_print(partition_to_csv(g, louvain(g).final_partition), args.out)
+    if args.gn_out is not None:
         _write_or_print(gn_trace_to_csv(g.labels, girvan_newman(g)), args.gn_out)
 
 
@@ -169,7 +189,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze" and args.export and args.out is None:
+        parser.error("analyze --export needs --out")  # the report would go to stdout and the exports nowhere
     try:
         _COMMANDS[args.command](args)
     except (CommGraphError, OSError, ValueError) as exc:

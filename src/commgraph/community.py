@@ -363,14 +363,13 @@ def compare_partitions(a: Partition, b: Partition) -> dict:
     return {"identical": a == b, "nmi": nmi}
 
 
-def partition_to_csv(labels, p: Partition) -> str:
-    """`label,community` rows in canonical community ids, sorted by label."""
+def partition_to_csv(g: Graph, p: Partition) -> str:
+    """`label,community` rows in canonical community ids, in `g.label_order`."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "community"])
-    order = sorted(range(len(labels)), key=lambda v: (labels[v].casefold(), labels[v]))
-    for v in order:
-        writer.writerow([labels[v], p.assignment[v]])
+    for v in g.label_order:
+        writer.writerow([g.labels[v], p.assignment[v]])
     return buf.getvalue()
 
 

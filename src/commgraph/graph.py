@@ -88,6 +88,12 @@ class Graph:
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.records)
 
+    @functools.cached_property
+    def label_order(self) -> tuple[int, ...]:
+        """Node ids by case-folded label, then by label: the row order of every per-node table."""
+        labels = self.labels
+        return tuple(sorted(range(self.node_count), key=lambda v: (labels[v].casefold(), labels[v])))
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

@@ -12,8 +12,9 @@ is not UTF-8, a NUL byte, or a character that XML 1.0 cannot carry
 (U+0001-U+0008, U+000E-U+001B, U+FFFE, U+FFFF; the other C0 controls are
 whitespace, which labels collapse) is such a row. In the node and alias
 CSVs every bad row is fatal. A missing or unexpected header, a field longer
-than 131072 characters, a node label that is an alias variant, and duplicate
-rows whose weights sum to inf are fatal.
+than 131072 characters, a node label that is an alias variant, duplicate
+rows whose weights sum to inf, and collapsed weights whose largest is more
+than MAX_WEIGHT_RATIO times their smallest are fatal.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .errors import GraphBuildError, IngestError
 from .graph import Graph, Memo, NodeRecord, canonical_label, collapse_edges, display_label
 
 INSTITUTION_KINDS = ("public", "medical", "technical", "other")
+# Louvain scales the largest weight into [1, 2); within this ratio the product
+# of any two scaled weights is still a normal float, so no weight flushes to 0
+MAX_WEIGHT_RATIO = 2.0**500
 
 
 class RawEdgeRow(NamedTuple):
@@ -260,7 +264,8 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
     named by their first spelling in row order. Node ids are assigned in
     canonical-label order, so identical input bytes always produce the
     identical graph. A row whose weight makes its pair's collapsed weight
-    overflow is fatal.
+    overflow is fatal, and so are collapsed weights whose largest is more
+    than MAX_WEIGHT_RATIO times their smallest.
     """
     edge_rows, log = parse_edge_csv(edge_path)
     registry = parse_node_csv(node_path, log) if node_path is not None else {}  # canonical label -> record
@@ -302,6 +307,14 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
             f"{edge_path}: line {row.line_no}: weight {row.weight!r} makes the collapsed weight of "
             f"{row.source_label!r} and {row.target_label!r} overflow"
         ) from None
+    weights = [w for nbrs in graph.adjacency for _, w in nbrs]
+    if weights and max(weights) / min(weights) > MAX_WEIGHT_RATIO:
+        u, v, lightest = min(graph.edges(), key=lambda edge: edge[2])
+        row = next(r for r in edge_rows if {ids[r.source_label], ids[r.target_label]} == {u, v})
+        raise IngestError(
+            f"{edge_path}: line {row.line_no}: the collapsed weight {lightest!r} of {row.source_label!r} and "
+            f"{row.target_label!r} is more than 2**500 times smaller than the largest, {max(weights)!r}"
+        )
     log.labels_merged = sorted(merged)
     return graph, log
 

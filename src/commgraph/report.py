@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, check_damping, rank_top_k
+from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, rank_top_k
 from .community import GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
 from .graph import Graph, Partition, left_sum
 from .ingest import CleaningLog, load_dataset
@@ -60,19 +60,15 @@ def _ranks(values) -> list[float]:
     return ranks
 
 
-def pearson_correlation_matrix(vectors: list[CentralityVector], method: str = "pearson"):
+def pearson_correlation_matrix(vectors: list[CentralityVector], spearman: bool = False):
     """Symmetric correlation matrix; zero-variance pairs yield None entries.
 
-    `method` is `pearson` or `spearman` (Pearson over average ranks).
+    With `spearman` it is Pearson's over average ranks.
     """
     if len({len(v.scores) for v in vectors}) > 1:
         raise ValueError("centrality vectors must have equal length")
-    if vectors and len(vectors[0].scores) < 2:
-        raise ValueError("correlation needs at least 2 nodes")
-    if method not in ("pearson", "spearman"):
-        raise ValueError(f"unknown correlation method {method!r}")
     data = [list(v.scores) for v in vectors]
-    if method == "spearman":
+    if spearman:
         data = [_ranks(col) for col in data]
     k = len(data)
     matrix: list[list[float | None]] = [[None] * k for _ in range(k)]
@@ -172,13 +168,12 @@ def export_graph_json(g: Graph, partition: Partition | None = None, scores=None)
 
 
 def export_graph(g: Graph, partition: Partition | None = None, scores=None, fmt: str = "gexf") -> str:
+    """`g` in `fmt`, one of EXPORT_FORMATS (the CLI parser accepts no other)."""
     if fmt == "gexf":
         return export_gexf(g, partition, scores)
     if fmt == "dot":
         return export_dot(g, partition, scores)
-    if fmt == "json":
-        return export_graph_json(g, partition, scores)
-    raise ValueError(f"unknown export format {fmt!r}")
+    return export_graph_json(g, partition, scores)
 
 
 # --------------------------------------------------------------- pipeline
@@ -195,15 +190,10 @@ class AnalysisReport:
     q_per_level: tuple[float, ...]
     gn_trace: GNTrace | None
     correlation: list[list[float | None]]
-    correlation_method: str
     cleaning: CleaningLog
     tool_version: str
     input_digest: str
     flags: dict
-
-    @property
-    def gn_best_q(self) -> float | None:
-        return self.gn_trace.best_q if self.gn_trace is not None else None
 
 
 def _digest(paths) -> str:
@@ -214,6 +204,11 @@ def _digest(paths) -> str:
         else:
             outer.update(hashlib.sha256(Path(p).read_bytes()).digest())
     return outer.hexdigest()
+
+
+def community_graph(g: Graph, weighted: bool) -> Graph:
+    """What community detection reads: `g` with its collapsed weights when `weighted`, else unit weights."""
+    return g if weighted else g.unweighted()
 
 
 def run_pipeline(
@@ -227,35 +222,23 @@ def run_pipeline(
     top_k: int = 5,
     damping: float = 0.85,
     seed: int | None = None,
-    out_dir=None,
-    exports=(),
 ) -> AnalysisReport:
-    """Ingest, analyze, and (optionally) write the full output bundle.
+    """Ingest and analyze; `write_outputs` writes the result.
 
-    Metrics and centralities always use the unweighted skeleton with hop
-    distances; `weighted` opts community detection into the collapsed
-    collaboration weights. Flags are checked before the input is read, and
-    every artifact is computed before the first file is written, so failures
-    leave no partial outputs.
+    Metrics and centralities read hop distances only, never weights;
+    `weighted` opts community detection into the collapsed collaboration
+    weights. `top_k` (at least 1) and `damping` (in (0, 1)) are checked by
+    the CLI parser, before any input is read.
     """
-    for fmt in exports:
-        if fmt not in EXPORT_FORMATS:
-            raise ValueError(f"unknown export format {fmt!r}")
-    if top_k < 1:
-        raise ValueError(f"top_k must be at least 1, got {top_k}")
-    check_damping(damping)
-
     loaded, cleaning = load_dataset(edge_path, node_path, alias_path)
-    skeleton = loaded.unweighted()
-    community_graph = loaded if weighted else skeleton
+    communities = community_graph(loaded, weighted)
 
-    metrics = global_metrics(skeleton)
-    vectors = all_centralities(skeleton, damping=damping)
-    dendrogram = louvain(community_graph)
-    gn_trace = girvan_newman(community_graph) if validate_gn else None
-    method = "spearman" if spearman else "pearson"
-    correlation = pearson_correlation_matrix([vectors[m] for m in MEASURES], method=method)
-    rankings = {m: rank_top_k(vectors[m], top_k, loaded.labels) for m in MEASURES}
+    metrics = global_metrics(loaded)
+    vectors = all_centralities(loaded, damping=damping)
+    dendrogram = louvain(communities)
+    gn_trace = girvan_newman(communities) if validate_gn else None
+    correlation = pearson_correlation_matrix([vectors[m] for m in MEASURES], spearman)
+    rankings = {m: rank_top_k(vectors[m], top_k, loaded) for m in MEASURES}
 
     report = AnalysisReport(
         graph=loaded,
@@ -267,7 +250,6 @@ def run_pipeline(
         q_per_level=dendrogram.q_per_level,
         gn_trace=gn_trace,
         correlation=correlation,
-        correlation_method=method,
         cleaning=cleaning,
         tool_version=__version__,
         input_digest=_digest([edge_path, node_path, alias_path]),
@@ -280,19 +262,15 @@ def run_pipeline(
             "seed": seed,
         },
     )
-
-    if out_dir is not None:
-        write_outputs(report, out_dir, exports)
     return report
 
 
 def report_to_json(report: AnalysisReport) -> str:
     g = report.graph
     labels = g.labels
-    order = sorted(range(g.node_count), key=lambda v: (labels[v].casefold(), labels[v]))
     table = [
         {"label": labels[v], **{m: report.vectors[m].scores[v] for m in MEASURES}}
-        for v in order
+        for v in g.label_order
     ]
     payload = {
         "metrics": asdict(report.metrics),
@@ -304,12 +282,12 @@ def report_to_json(report: AnalysisReport) -> str:
             "count": report.partition.community_count,
             "louvain_q": report.louvain_q,
             "q_per_level": list(report.q_per_level),
-            "gn_best_q": report.gn_best_q,
+            "gn_best_q": report.gn_trace.best_q if report.gn_trace is not None else None,
             "assignment": {labels[v]: report.partition.assignment[v] for v in range(g.node_count)},
         },
         "correlation": {
             "measures": list(MEASURES),
-            "method": report.correlation_method,
+            "method": "spearman" if report.flags["spearman"] else "pearson",
             "matrix": report.correlation,
         },
         "cleaning": asdict(report.cleaning),
@@ -322,24 +300,20 @@ def report_to_json(report: AnalysisReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_outputs(report: AnalysisReport, out_dir, exports=()) -> list[Path]:
-    """Write the report bundle; returns the created paths."""
+def write_outputs(report: AnalysisReport, out_dir, exports=()) -> None:
+    """Write the report bundle into `out_dir`, with the graph in each of the `exports` formats."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     g = report.graph
-    written = []
 
     def emit(name: str, text: str):
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
+        (out / name).write_text(text, encoding="utf-8")
 
     emit("report.json", report_to_json(report))
     emit("centrality.csv", centrality_table_csv(g, report.vectors))
-    emit("communities.csv", partition_to_csv(g.labels, report.partition))
+    emit("communities.csv", partition_to_csv(g, report.partition))
     if report.gn_trace is not None:
         emit("gn_trace.csv", gn_trace_to_csv(g.labels, report.gn_trace))
     score_list = [report.vectors[m] for m in MEASURES]
     for fmt in exports:
         emit(f"graph.{fmt}", export_graph(g, report.partition, score_list, fmt))
-    return written

@@ -460,6 +460,17 @@ def load_dataset_reference(edge_path, node_path=None, alias_path=None) -> tuple[
                 )
         else:
             weights[pair] = 1.0 if weight is None else weight
+    if weights:  # the weight-ratio bound, reported at the first row of the lightest pair
+        lightest = min(weights, key=lambda pair: (weights[pair], pair))
+        if max(weights.values()) / weights[lightest] > 2.0**500:
+            row = next(
+                row for row, (source, target, _) in zip(edge_rows, resolved)
+                if sorted([index[canonical_label(source)], index[canonical_label(target)]]) == list(lightest)
+            )
+            raise IngestError(
+                f"{edge_path}: line {row[3]}: the collapsed weight {weights[lightest]!r} of {row[0]!r} and "
+                f"{row[1]!r} is more than 2**500 times smaller than the largest, {max(weights.values())!r}"
+            )
     nbrs = [[] for _ in ordered]
     for (u, v), w in weights.items():
         nbrs[u].append((v, w))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,14 +36,32 @@ def test_synth_emits_edge_and_partition_csv(ring_dir):
     assert len(partition.strip().split("\n")) == 21
 
 
-def test_centrality_bad_damping_exits_one_before_reading_input(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "--damping", "1.5"], "--damping"),
+        (["centrality", "--damping", "0"], "--damping"),
+        (["analyze", "--top-k", "0"], "--top-k"),
+        (["analyze", "--out", "out", "--export", "gexf,graphml"], "--export"),
+        (["analyze", "--export", "gexf"], "--export"),
+        (["communities", "--validate-gn"], "--validate-gn"),
+    ],
+    ids=["analyze-damping", "centrality-damping", "top-k", "unknown-export", "export-without-out", "communities-validate-gn"],
+)
+def test_bad_flag_exits_one_before_reading_input(argv, flag, monkeypatch, tmp_path, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("input read before the flags were checked")
 
-    monkeypatch.setattr("commgraph.cli.load_dataset", fail)
-    rc = main(["centrality", "--edges", str(SAMPLE / "edges.csv"), "--damping", "1.5"])
-    assert rc == 1
-    assert "damping" in capsys.readouterr().err
+    for module in ("cli", "report"):
+        monkeypatch.setattr(f"commgraph.{module}.load_dataset", fail)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--edges", str(SAMPLE / "edges.csv")])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_missing_params_exits_one(tmp_path, capsys):
@@ -194,7 +214,7 @@ def test_communities_subcommand_with_gn(ring_dir, tmp_path):
     trace = tmp_path / "t.csv"
     rc = main([
         "communities", "--edges", str(ring_dir / "edges.csv"),
-        "--out", str(part), "--validate-gn", "--gn-out", str(trace),
+        "--out", str(part), "--gn-out", str(trace),
     ])
     assert rc == 0
     assert part.read_text(encoding="utf-8").startswith("label,community\n")
@@ -223,7 +243,7 @@ def test_export_with_analytics_carries_community(ring_dir, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["communities", "--validate-gn"], ["export", "--format", "json"], ["centrality"]],
+    [["communities"], ["export", "--format", "json"], ["centrality"]],
     ids=["communities", "export", "centrality"],
 )
 def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, capsys):
@@ -285,3 +305,44 @@ def test_extreme_weights_give_the_unit_weight_communities(weight, tmp_path, caps
     # 1e-200, 1e200 and 1e307 are no powers of two, so Q may differ from the unit-weight Q in its last bits
     for key in ("louvain_q", "gn_best_q"):
         assert report[key] == pytest.approx(unit_report[key], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "heaviest, rc", [("1e300", 1), (repr(2.0**500), 0), (repr(2.0**501), 1)], ids=["1e300", "at-bound", "past-bound"]
+)
+def test_weight_ratio_beyond_2_to_the_500_exits_one_naming_the_lightest_pair(heaviest, rc, tmp_path, capsys):
+    # scaling the largest weight into [1, 2) used to turn every 1e-300 into 0.0,
+    # and `communities --weighted` exited 0 with A,B | C | D
+    lightest = "1e-300" if heaviest == "1e300" else "1"
+    edges = tmp_path / "edges.csv"
+    edges.write_text(
+        f"source,target,weight\nA,B,{heaviest}\nB,C,{lightest}\nc,a,{lightest}\nC,D,{lightest}\n", encoding="utf-8"
+    )
+    assert main(["communities", "--weighted", "--edges", str(edges)]) == rc
+    captured = capsys.readouterr()
+    if rc == 0:
+        assert captured.err == ""
+        return
+    assert captured.out == ""
+    # the lightest pairs are A-C, B-C and C-D; A-C has the smallest ids, and line 4 is its first row
+    assert captured.err == (
+        f"commgraph: error: {edges}: line 4: the collapsed weight {float(lightest)!r} of 'c' and 'a' is more than "
+        f"2**500 times smaller than the largest, {float(heaviest)!r}\n"
+    )
+
+
+def _readme_commands() -> list[str]:
+    """The `commgraph ...` lines of README.md's CLI block, `\\` continuations joined."""
+    readme = (SAMPLE.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("commgraph ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    shutil.copytree(SAMPLE, tmp_path / "data" / "sample")
+    shutil.copy(SAMPLE / "edges.csv", tmp_path / "edges.csv")
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, (command, capsys.readouterr().err)

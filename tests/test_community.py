@@ -533,7 +533,7 @@ def test_compare_size_mismatch():
 
 
 def test_partition_csv(two_triangles):
-    text = partition_to_csv(two_triangles.labels, louvain(two_triangles).final_partition)
+    text = partition_to_csv(two_triangles, louvain(two_triangles).final_partition)
     lines = text.strip().split("\n")
     assert lines[0] == "label,community"
     assert lines[1] == "A,0"
