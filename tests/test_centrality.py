@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from commgraph.cli import build_parser
 from commgraph.errors import ConvergenceError, DegenerateGraphError
 from commgraph.centrality import (
     MEASURES,
@@ -157,6 +158,14 @@ def test_pagerank_handles_isolated_nodes():
     vec = pagerank(g)
     assert abs(sum(vec.scores) - 1.0) < 1e-9
     assert all(0 < s < 1 for s in vec.scores)
+
+
+def test_pagerank_bad_damping_rejected(capsys):
+    # pagerank takes its damping as given; the CLI parser rejects one outside (0, 1)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["centrality", "--edges", "edges.csv", "--damping", "1.0"])
+    assert exc.value.code == 1
+    assert "--damping" in capsys.readouterr().err
 
 
 def test_pagerank_nonconvergence_carries_residual(star4, monkeypatch):

@@ -64,6 +64,17 @@ def test_bad_flag_exits_one_before_reading_input(argv, flag, monkeypatch, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_centrality_bad_damping_exits_one_before_reading_input(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr("commgraph.cli.load_dataset", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["centrality", "--edges", str(SAMPLE / "edges.csv"), "--damping", "1.5"])
+    assert exc.value.code == 1
+    assert "damping" in capsys.readouterr().err
+
+
 def test_synth_missing_params_exits_one(tmp_path, capsys):
     rc = main(["synth", "--kind", "ring_of_cliques", "--out", str(tmp_path)])
     assert rc == 1

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from commgraph.centrality import CentralityVector, all_centralities
-from commgraph.cli import main
+from commgraph.cli import build_parser, main
 from commgraph.community import louvain
 from commgraph.graph import Partition
 from commgraph.ingest import edges_to_csv
@@ -14,6 +14,7 @@ from commgraph.report import (
     GEXF_NS,
     export_dot,
     export_gexf,
+    export_graph,
     export_graph_json,
     pearson_correlation_matrix,
     report_to_json,
@@ -139,6 +140,21 @@ def test_json_round_trip_with_attributes(tmp_path):
     assert import_graph_json(export_graph_json(g)) == g
 
 
+def test_export_dispatch_unknown_format(triangle, capsys):
+    # export_graph dispatches on EXPORT_FORMATS alone; both commands that export reject any other format
+    assert export_graph(triangle, fmt="gexf") == export_gexf(triangle)
+    assert export_graph(triangle, fmt="dot") == export_dot(triangle)
+    assert export_graph(triangle, fmt="json") == export_graph_json(triangle)
+    for argv in (
+        ["export", "--edges", "edges.csv", "--format", "graphml"],
+        ["analyze", "--edges", "edges.csv", "--out", "out", "--export", "graphml"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 1
+        assert "graphml" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- pipeline
 
 
@@ -209,6 +225,14 @@ def test_weighted_flag_feeds_collapsed_weights_to_louvain(tmp_path):
     assert weighted.louvain_q == pytest.approx(1 / 3)
     assert unweighted.louvain_q == pytest.approx(0.0)
     assert weighted.partition.assignment == (0, 0, 1, 1)  # heavy pairs together
+
+
+def test_pipeline_rejects_unknown_export(dataset, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--edges", str(dataset), "--out", str(out), "--export", "graphml"])
+    assert exc.value.code == 1
+    assert not out.exists()
 
 
 def test_pipeline_no_partial_outputs_on_bad_input(tmp_path):
