@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", required=True, choices=EXPORT_FORMATS)
     export.add_argument("--out", help="output file (stdout when omitted)")
     export.add_argument("--with-analytics", action="store_true", help="embed communities and centralities")
-    export.add_argument("--weighted", action="store_true")
+    export.add_argument("--weighted", action="store_true", help="with --with-analytics, let Louvain use edge weights")
 
     centrality = sub.add_parser("centrality", help="per-node centrality CSV")
     _add_input_args(centrality)
@@ -108,12 +108,6 @@ def _write_or_print(text: str, out):
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise CommGraphError(f"--kind {args.kind} requires --{' --'.join(missing)}")
-
-
 def _cmd_analyze(args) -> None:
     report = run_pipeline(
         args.edges,
@@ -134,10 +128,8 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_synth(args) -> None:
     if args.kind == "ring_of_cliques":
-        _require(args, ["cliques", "clique-size"])
         g, truth = gen_ring_of_cliques(args.cliques, args.clique_size)
     else:
-        _require(args, ["blocks", "block-size", "p-in", "p-out"])
         g, truth = gen_planted_partition(args.blocks, args.block_size, args.p_in, args.p_out, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,10 +151,10 @@ def _load(args):
 
 
 def _cmd_export(args) -> None:
-    g = community_graph(_load(args), args.weighted)
+    g = _load(args)
     partition = scores = None
     if args.with_analytics:
-        partition = louvain(g).final_partition
+        partition = louvain(community_graph(g, args.weighted)).final_partition
         scores = list(all_centralities(g).values())
     _write_or_print(export_graph(g, partition, scores, args.format), args.out)
 
@@ -179,6 +171,12 @@ def _cmd_communities(args) -> None:
         _write_or_print(gn_trace_to_csv(g.labels, girvan_newman(g)), args.gn_out)
 
 
+# the flags each synth kind needs; argparse cannot tie a flag to a --kind value
+_SYNTH_PARAMS = {
+    "ring_of_cliques": ("cliques", "clique-size"),
+    "planted_partition": ("blocks", "block-size", "p-in", "p-out"),
+}
+
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "synth": _cmd_synth,
@@ -193,6 +191,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "analyze" and args.export and args.out is None:
         parser.error("analyze --export needs --out")  # the report would go to stdout and the exports nowhere
+    if args.command == "synth":
+        missing = [name for name in _SYNTH_PARAMS[args.kind] if getattr(args, name.replace("-", "_")) is None]
+        if missing:
+            parser.error(f"--kind {args.kind} requires --{' --'.join(missing)}")
     try:
         _COMMANDS[args.command](args)
     except (CommGraphError, OSError, ValueError) as exc:

@@ -5,10 +5,12 @@ dense matrices, pairwise double sums. Intended for graphs of ~7 nodes.
 The exceptions are `girvan_newman_full_recompute`, the plain divisive run
 that recomputes every edge's betweenness after each removal,
 `louvain_reference`, the plain Louvain loop that rebuilds every node's
-neighbor-community weights on every visit, and `load_dataset_reference`, the
-two-stage ingest that lists every row before resolving any label; they are
-the references for the component-local recompute and the cached sweep in
-`commgraph.community` and for the one-pass `commgraph.ingest.load_dataset`.
+neighbor-community weights on every visit, `load_dataset_reference`, the
+two-stage ingest that lists every row before resolving any label, and
+`sweep_all_pairs_reference`, the one-process all-pairs loop; they are the
+references for the component-local recompute and the cached sweep in
+`commgraph.community`, for the one-pass `commgraph.ingest.load_dataset` and
+for the block-folded `commgraph.graph.sweep_all_pairs`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from commgraph.graph import (
     Graph,
     NodeRecord,
     Partition,
+    PathSweep,
     canonical_label,
     collapse_edges,
     components,
@@ -167,6 +170,39 @@ def closeness_from_distances(g: Graph) -> list[float]:
         reach = len(finite)  # component size minus one
         out.append((reach / total) * (reach / (n - 1)))
     return out
+
+
+def sweep_all_pairs_reference(adjacency) -> PathSweep:
+    """One BFS and one Brandes back-propagation per source, all in this process.
+
+    Each node's dependency adds every other source's term in ascending source
+    order, and each harmonic sum adds reciprocal distances in node-id order:
+    the sums whose order fixes the bits the block-folded sweep must match.
+    """
+    n = len(adjacency)
+    reach, totals, harmonic = [0] * n, [0] * n, [0.0] * n
+    dependency = [0.0] * n
+    diameter = 0
+    seen = [False] * n
+    component_count = 0
+    for s in range(n):
+        order, dist, sigma, preds = bfs_kernel(adjacency, s)
+        if not seen[s]:
+            component_count += 1
+            for v in order:
+                seen[v] = True
+        reach[s] = len(order) - 1
+        totals[s] = sum(dist[v] for v in order)
+        diameter = max([diameter] + [dist[v] for v in order])
+        harmonic[s] = left_sum([0.0] + [1 / d for d in dist if 0 < d < INF])
+        delta = [0.0] * n
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] * ((1 + delta[w]) / sigma[w])
+        for v in order:
+            if v != s:
+                dependency[v] += delta[v]
+    return PathSweep(tuple(reach), tuple(totals), tuple(harmonic), tuple(dependency), diameter, component_count)
 
 
 def harmonic_from_distances(g: Graph) -> list[float]:

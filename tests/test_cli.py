@@ -76,9 +76,13 @@ def test_centrality_bad_damping_exits_one_before_reading_input(monkeypatch, caps
 
 
 def test_synth_missing_params_exits_one(tmp_path, capsys):
-    rc = main(["synth", "--kind", "ring_of_cliques", "--out", str(tmp_path)])
-    assert rc == 1
-    assert "requires" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--kind", "ring_of_cliques", "--cliques", "4", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: commgraph")
+    assert "--kind ring_of_cliques requires --clique-size" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -241,7 +245,22 @@ def test_export_subcommand_round_trip(ring_dir, tmp_path):
     from commgraph.ingest import load_dataset
 
     g, _ = load_dataset(ring_dir / "edges.csv")
-    assert import_graph_json(out.read_text(encoding="utf-8")) == g.unweighted()
+    assert import_graph_json(out.read_text(encoding="utf-8")) == g
+
+
+@pytest.mark.parametrize("weighted", [[], ["--weighted"]], ids=["unit", "weighted"])
+def test_export_writes_the_graph_analyze_exports(tmp_path, weighted):
+    # every export writes the loaded graph's collapsed weights; --weighted only picks what Louvain reads
+    collab = SAMPLE / "collab"
+    inputs = [f"--{name}={collab / name}.csv" for name in ("edges", "nodes", "aliases")] + weighted
+    assert main(["analyze", *inputs, "--out", str(tmp_path / "a"), "--export", "json"]) == 0
+    assert main(["export", *inputs, "--format", "json", "--out", str(tmp_path / "plain.json")]) == 0
+    assert main(["export", *inputs, "--format", "json", "--with-analytics", "--out", str(tmp_path / "full.json")]) == 0
+    analyzed = (tmp_path / "a" / "graph.json").read_text(encoding="utf-8")
+    plain = json.loads((tmp_path / "plain.json").read_text(encoding="utf-8"))
+    assert plain["edges"] == json.loads(analyzed)["edges"]
+    assert {e["weight"] for e in plain["edges"]} != {1.0}
+    assert (tmp_path / "full.json").read_text(encoding="utf-8") == analyzed
 
 
 def test_export_with_analytics_carries_community(ring_dir, capsys):

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import signal
+import time
+from pathlib import Path
 
 import pytest
 
+import commgraph.graph as graph_module
+from commgraph.cli import main
 from commgraph.errors import GraphBuildError
 from commgraph.graph import (
+    SWEEP_BLOCK,
     Memo,
     NodeRecord,
     Partition,
@@ -14,9 +21,12 @@ from commgraph.graph import (
     components,
     left_sum,
     shortest_paths,
+    sweep_all_pairs,
 )
+from commgraph.ingest import load_dataset
+from commgraph.synth import gen_planted_partition
 from conftest import make_graph
-from oracles import all_simple_paths, floyd_warshall, random_graph
+from oracles import all_simple_paths, floyd_warshall, random_graph, sweep_all_pairs_reference
 
 INF = math.inf
 
@@ -216,3 +226,141 @@ def test_partition_rejects_non_canonical_ids():
     # contiguous, but community 1 holds the smallest node
     with pytest.raises(ValueError, match="first appearance"):
         Partition((1, 0), 2)
+
+
+# ------------------------------------------------------- all-pairs sweep
+
+SAMPLE_EDGES = Path(__file__).resolve().parent.parent / "data" / "sample" / "edges.csv"
+
+
+def numbered(n: int, pairs):
+    g, _, _ = collapse_edges([NodeRecord(f"n{i}") for i in range(n)], [(u, v, None) for u, v in pairs])
+    return g
+
+
+def cycle(n: int):
+    return numbered(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+SWEEP_GRAPHS = {
+    "empty": lambda: numbered(0, []),
+    "one node": lambda: numbered(1, []),
+    "path of one block": lambda: numbered(SWEEP_BLOCK, [(i, i + 1) for i in range(SWEEP_BLOCK - 1)]),
+    "cycle of one block plus one": lambda: cycle(SWEEP_BLOCK + 1),
+    # three stars and a path, apart, over three blocks
+    "disconnected": lambda: numbered(
+        90, [(c, c + i) for c in (0, 20, 40) for i in range(1, 20)] + [(i, i + 1) for i in range(60, 89)]
+    ),
+    # every odd node has no edge
+    "isolated nodes": lambda: numbered(99, [(i, (i + 2) % 98) for i in range(0, 98, 2)] + [(0, 50), (10, 72)]),
+    "data/sample": lambda: load_dataset(SAMPLE_EDGES)[0],
+    "planted partition": lambda: gen_planted_partition(4, 30, 0.2, 0.02, seed=3)[0],
+}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs the sweep may use; fails a test that hangs, or leaves a worker or an fd behind."""
+    fds_before = len(os.listdir("/proc/self/fd"))
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield lambda count: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child process of this one is left, running or not reaped
+    assert len(os.listdir("/proc/self/fd")) == fds_before
+
+
+def failing_at(monkeypatch, source: int, exc: BaseException) -> None:
+    kernel = graph_module.shortest_paths
+
+    def kernel_failing_once(adjacency, s):
+        if s == source:
+            raise exc
+        return kernel(adjacency, s)
+
+    monkeypatch.setattr(graph_module, "shortest_paths", kernel_failing_once)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("name", list(SWEEP_GRAPHS))
+def test_sweep_is_bit_identical_with_any_process_count(cpus, monkeypatch, name, count):
+    adjacency = SWEEP_GRAPHS[name]().neighbor_ids
+    fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(1)  # in the parent; a worker adds to its own copy
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    cpus(count)
+    got = sweep_all_pairs(adjacency)
+    want = sweep_all_pairs_reference(adjacency)
+    assert got == want
+    assert [x.hex() for x in got.dependency + got.harmonic] == [x.hex() for x in want.dependency + want.harmonic]
+    blocks = -(-len(adjacency) // SWEEP_BLOCK)
+    assert len(forks) == (min(count, blocks) if count > 1 and blocks > 1 else 0)
+
+
+def test_a_graph_of_one_block_never_forks(cpus, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cpus(3)
+    adjacency = SWEEP_GRAPHS["path of one block"]().neighbor_ids
+    assert sweep_all_pairs(adjacency) == sweep_all_pairs_reference(adjacency)
+
+
+# Whichever worker fails, the other one then finds the pipe it awaits a
+# token on closed, and stops too: both exit 1. The planted partition has
+# four blocks; a source in the first, second and third block fails.
+@pytest.mark.parametrize("source", [0, SWEEP_BLOCK, 3 * SWEEP_BLOCK - 1])
+def test_a_failing_worker_makes_the_sweep_raise_and_write_nothing(cpus, monkeypatch, capfd, source):
+    cpus(2)
+    failing_at(monkeypatch, source, ValueError("kernel failed"))
+    with pytest.raises(RuntimeError, match=r"worker process failed \(exit codes \[1, 1\]\)"):
+        sweep_all_pairs(SWEEP_GRAPHS["planted partition"]().neighbor_ids)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_failing_worker_makes_main_exit_2(cpus, monkeypatch, capsys):
+    cpus(2)
+    failing_at(monkeypatch, SWEEP_BLOCK + 1, ValueError("kernel failed"))
+    assert main(["centrality", "--edges", str(SAMPLE_EDGES)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("commgraph: internal error: all-pairs sweep")
+
+
+def test_an_interrupted_sweep_kills_and_reaps_its_workers(cpus, monkeypatch):
+    kernel = graph_module.shortest_paths
+
+    def stuck_at_second_block(adjacency, s):
+        if s == SWEEP_BLOCK:
+            time.sleep(600)  # only a kill ends this worker before the test's alarm
+        return kernel(adjacency, s)
+
+    monkeypatch.setattr(graph_module, "shortest_paths", stuck_at_second_block)
+    waitpid = os.waitpid
+    calls = []
+
+    def interrupted_once(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", interrupted_once)
+    cpus(3)
+    with pytest.raises(KeyboardInterrupt):
+        sweep_all_pairs(SWEEP_GRAPHS["planted partition"]().neighbor_ids)
+    assert len(calls) == 1 + 3  # the interrupted wait, then one reap per worker
