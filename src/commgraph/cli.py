@@ -9,11 +9,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .centrality import all_centralities, centrality_table_csv
-from .community import girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
+from .centrality import centrality_table_csv
+from .community import gn_trace_to_csv, partition_to_csv
 from .errors import CommGraphError
-from .ingest import edges_to_csv, load_dataset
-from .report import EXPORT_FORMATS, community_graph, export_graph, report_to_json, run_pipeline, write_outputs
+from .ingest import edges_to_csv
+from .report import EXPORT_FORMATS, export_graph, report_to_json, run_pipeline, write_outputs
 from .synth import GENERATOR_KINDS, gen_planted_partition, gen_ring_of_cliques
 
 
@@ -108,18 +108,25 @@ def _write_or_print(text: str, out):
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _run(args, *stages):
+    """`run_pipeline` over `stages` with the command's files and flags, naming rejected edge rows on stderr once read."""
+
+    def warn_rejected(log):
+        if log.rows_rejected:
+            line_no, reason = log.rows_rejected[0]
+            print(
+                f"commgraph: warning: {args.edges}: {len(log.rows_rejected)} rows rejected "
+                f"(first: line {line_no}: {reason})",
+                file=sys.stderr,
+            )
+
+    # the flags that `run_pipeline` takes as keyword arguments of the same name
+    options = {k: v for k, v in vars(args).items() if k in ("weighted", "spearman", "top_k", "damping", "seed")}
+    return run_pipeline(args.edges, args.nodes, args.aliases, stages=stages, on_load=warn_rejected, **options)
+
+
 def _cmd_analyze(args) -> None:
-    report = run_pipeline(
-        args.edges,
-        args.nodes,
-        args.aliases,
-        weighted=args.weighted,
-        validate_gn=args.validate_gn,
-        spearman=args.spearman,
-        top_k=args.top_k,
-        damping=args.damping,
-        seed=args.seed,
-    )
+    report = _run(args, "centralities", "louvain", *(["gn"] if args.validate_gn else []), "report")
     if args.out is None:
         sys.stdout.write(report_to_json(report))
     else:
@@ -137,38 +144,23 @@ def _cmd_synth(args) -> None:
     (out / "partition.csv").write_text(partition_to_csv(g, truth), encoding="utf-8")
 
 
-def _load(args):
-    """Ingest the input files, naming rejected edge rows on stderr."""
-    g, log = load_dataset(args.edges, args.nodes, args.aliases)
-    if log.rows_rejected:
-        line_no, reason = log.rows_rejected[0]
-        print(
-            f"commgraph: warning: {args.edges}: {len(log.rows_rejected)} rows rejected "
-            f"(first: line {line_no}: {reason})",
-            file=sys.stderr,
-        )
-    return g
-
-
 def _cmd_export(args) -> None:
-    g = _load(args)
-    partition = scores = None
-    if args.with_analytics:
-        partition = louvain(community_graph(g, args.weighted)).final_partition
-        scores = list(all_centralities(g).values())
-    _write_or_print(export_graph(g, partition, scores, args.format), args.out)
+    report = _run(args, *(["centralities", "louvain"] if args.with_analytics else []))
+    partition = report.dendrogram.final_partition if report.dendrogram else None
+    scores = list(report.vectors.values()) if report.vectors else None
+    _write_or_print(export_graph(report.graph, partition, scores, args.format), args.out)
 
 
 def _cmd_centrality(args) -> None:
-    g = _load(args)
-    _write_or_print(centrality_table_csv(g, all_centralities(g, damping=args.damping)), args.out)
+    report = _run(args, "centralities")
+    _write_or_print(centrality_table_csv(report.graph, report.vectors), args.out)
 
 
 def _cmd_communities(args) -> None:
-    g = community_graph(_load(args), args.weighted)
-    _write_or_print(partition_to_csv(g, louvain(g).final_partition), args.out)
-    if args.gn_out is not None:
-        _write_or_print(gn_trace_to_csv(g.labels, girvan_newman(g)), args.gn_out)
+    report = _run(args, "louvain", *(["gn"] if args.gn_out is not None else []))
+    _write_or_print(partition_to_csv(report.graph, report.dendrogram.final_partition), args.out)
+    if report.gn_trace is not None:
+        _write_or_print(gn_trace_to_csv(report.graph.labels, report.gn_trace), args.gn_out)
 
 
 # the flags each synth kind needs; argparse cannot tie a flag to a --kind value

@@ -3,7 +3,10 @@
 Determinism contract: Louvain sweeps nodes in ascending id order, breaks
 gain ties toward the lowest community id, and never randomizes, so a given
 graph always yields the same dendrogram. Girvan-Newman breaks betweenness
-ties toward the smallest (min-id, max-id) endpoint pair.
+ties toward the smallest (min-id, max-id) endpoint pair only when the tied
+scores are equal as floats: at step 299 on `gen_planted_partition(4, 30,
+0.2, 0.01, seed=1)`, (77, 79) and (77, 87) both have betweenness 14/3, but
+summation order rounds (77, 87)'s score one unit in the last place higher.
 """
 
 from __future__ import annotations
@@ -278,9 +281,11 @@ class GNTrace:
 def girvan_newman(g: Graph) -> GNTrace:
     """Remove max-betweenness edges one at a time, recomputing after each.
 
-    After a removal only the component(s) holding its endpoints are
-    recomputed (Girvan & Newman 2002); every other edge keeps its score,
-    which a full recompute would reproduce bit for bit.
+    Each step removes the edge of greatest float betweenness; the module
+    docstring says when ties go to the smallest pair. After a removal only
+    the component(s) holding its endpoints are recomputed (Girvan & Newman
+    2002); every other edge keeps its score, which a full recompute would
+    reproduce bit for bit.
 
     Candidate partitions are the connected components of the pruned graph;
     their modularity is always evaluated on the original graph. The earliest
@@ -302,7 +307,7 @@ def girvan_newman(g: Graph) -> GNTrace:
     scores = [0.0] * len(ends)
     _edge_dependencies(adjacency, index, range(g.node_count), scores)
     for _ in ends:
-        # the first maximum has the smallest (u, v): ties go to the smallest pair
+        # the first maximum has the smallest (u, v): float-equal scores go to the smallest pair
         k = scores.index(max(scores))
         u, v = ends[k]
         adjacency[u].remove(v)

@@ -1,8 +1,10 @@
 """Analysis pipeline: ingest, metrics, centralities, communities, exports.
 
-The report is a pure function of the input bytes and flags. Serialization is
-fully deterministic (sorted keys, no timestamps), so identical runs produce
-byte-identical JSON; the input digest ties a report to its source files.
+`run_pipeline` is the one driver: each CLI command names the stages it
+needs, then serialises its part of the result. The report is a pure
+function of the input bytes and flags: serialization is deterministic
+(sorted keys, no timestamps), and the input digest ties a report to its
+source files.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, rank_top_k
-from .community import GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
+from .community import Dendrogram, GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
 from .graph import Graph, Partition, left_sum
 from .ingest import CleaningLog, load_dataset
 from .metrics import MetricsReport, global_metrics
@@ -181,18 +183,17 @@ def export_graph(g: Graph, partition: Partition | None = None, scores=None, fmt:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """What `run_pipeline` computed; each field of a stage it did not run is None."""
+
     graph: Graph
-    metrics: MetricsReport
-    vectors: dict[str, CentralityVector]
-    top_k: dict[str, list[tuple[str, float]]]
-    partition: Partition
-    louvain_q: float
-    q_per_level: tuple[float, ...]
-    gn_trace: GNTrace | None
-    correlation: list[list[float | None]]
     cleaning: CleaningLog
-    tool_version: str
-    input_digest: str
+    vectors: dict[str, CentralityVector] | None  # "centralities"
+    dendrogram: Dendrogram | None  # "louvain"
+    gn_trace: GNTrace | None  # "gn"
+    metrics: MetricsReport | None  # "report", with the three fields below
+    correlation: list[list[float | None]] | None
+    top_k: dict[str, list[tuple[str, float]]] | None
+    input_digest: str | None
     flags: dict
 
 
@@ -206,63 +207,61 @@ def _digest(paths) -> str:
     return outer.hexdigest()
 
 
-def community_graph(g: Graph, weighted: bool) -> Graph:
-    """What community detection reads: `g` with its collapsed weights when `weighted`, else unit weights."""
-    return g if weighted else g.unweighted()
-
-
 def run_pipeline(
     edge_path,
     node_path=None,
     alias_path=None,
     *,
+    stages=("centralities", "louvain", "report"),
     weighted: bool = False,
-    validate_gn: bool = False,
     spearman: bool = False,
     top_k: int = 5,
     damping: float = 0.85,
     seed: int | None = None,
+    on_load=lambda cleaning: None,
 ) -> AnalysisReport:
-    """Ingest and analyze; `write_outputs` writes the result.
+    """Ingest, then run only the named `stages`; `write_outputs` writes the result.
 
-    Metrics and centralities read hop distances only, never weights;
-    `weighted` opts community detection into the collapsed collaboration
-    weights. `top_k` (at least 1) and `damping` (in (0, 1)) are checked by
-    the CLI parser, before any input is read.
+    The stages are "centralities", "louvain", "gn" (Girvan-Newman) and
+    "report" (global metrics, correlation, top-k and the input digest; it
+    needs the first two). They run in one fixed order, whatever the order
+    given. `on_load(cleaning)` is called once ingest is done. Metrics and
+    centralities read hop distances only; community detection reads every
+    weight as 1 unless `weighted`. `top_k` (at least 1) and `damping` (in
+    (0, 1)) are checked by the CLI parser, before any input is read.
     """
     loaded, cleaning = load_dataset(edge_path, node_path, alias_path)
-    communities = community_graph(loaded, weighted)
+    on_load(cleaning)
+    detecting = "louvain" in stages or "gn" in stages
+    communities = (loaded if weighted else loaded.unweighted()) if detecting else None
+    reporting = "report" in stages
 
-    metrics = global_metrics(loaded)
-    vectors = all_centralities(loaded, damping=damping)
-    dendrogram = louvain(communities)
-    gn_trace = girvan_newman(communities) if validate_gn else None
-    correlation = pearson_correlation_matrix([vectors[m] for m in MEASURES], spearman)
-    rankings = {m: rank_top_k(vectors[m], top_k, loaded) for m in MEASURES}
+    metrics = global_metrics(loaded) if reporting else None
+    vectors = all_centralities(loaded, damping=damping) if "centralities" in stages else None
+    dendrogram = louvain(communities) if "louvain" in stages else None
+    gn_trace = girvan_newman(communities) if "gn" in stages else None
+    correlation = pearson_correlation_matrix([vectors[m] for m in MEASURES], spearman) if reporting else None
+    rankings = {m: rank_top_k(vectors[m], top_k, loaded) for m in MEASURES} if reporting else None
 
-    report = AnalysisReport(
+    return AnalysisReport(
         graph=loaded,
-        metrics=metrics,
-        vectors=vectors,
-        top_k=rankings,
-        partition=dendrogram.final_partition,
-        louvain_q=dendrogram.final_q,
-        q_per_level=dendrogram.q_per_level,
-        gn_trace=gn_trace,
-        correlation=correlation,
         cleaning=cleaning,
-        tool_version=__version__,
-        input_digest=_digest([edge_path, node_path, alias_path]),
+        vectors=vectors,
+        dendrogram=dendrogram,
+        gn_trace=gn_trace,
+        metrics=metrics,
+        correlation=correlation,
+        top_k=rankings,
+        input_digest=_digest([edge_path, node_path, alias_path]) if reporting else None,
         flags={
             "weighted": weighted,
-            "validate_gn": validate_gn,
+            "validate_gn": "gn" in stages,
             "spearman": spearman,
             "top_k": top_k,
             "damping": damping,
             "seed": seed,
         },
     )
-    return report
 
 
 def report_to_json(report: AnalysisReport) -> str:
@@ -272,6 +271,7 @@ def report_to_json(report: AnalysisReport) -> str:
         {"label": labels[v], **{m: report.vectors[m].scores[v] for m in MEASURES}}
         for v in g.label_order
     ]
+    partition = report.dendrogram.final_partition
     payload = {
         "metrics": asdict(report.metrics),
         "centrality": {
@@ -279,11 +279,11 @@ def report_to_json(report: AnalysisReport) -> str:
             "top_k": {m: [[lab, s] for lab, s in report.top_k[m]] for m in MEASURES},
         },
         "communities": {
-            "count": report.partition.community_count,
-            "louvain_q": report.louvain_q,
-            "q_per_level": list(report.q_per_level),
+            "count": partition.community_count,
+            "louvain_q": report.dendrogram.final_q,
+            "q_per_level": list(report.dendrogram.q_per_level),
             "gn_best_q": report.gn_trace.best_q if report.gn_trace is not None else None,
-            "assignment": {labels[v]: report.partition.assignment[v] for v in range(g.node_count)},
+            "assignment": {labels[v]: partition.assignment[v] for v in range(g.node_count)},
         },
         "correlation": {
             "measures": list(MEASURES),
@@ -292,7 +292,7 @@ def report_to_json(report: AnalysisReport) -> str:
         },
         "cleaning": asdict(report.cleaning),
         "meta": {
-            "tool_version": report.tool_version,
+            "tool_version": __version__,
             "input_digest": report.input_digest,
             "flags": report.flags,
         },
@@ -305,15 +305,16 @@ def write_outputs(report: AnalysisReport, out_dir, exports=()) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     g = report.graph
+    partition = report.dendrogram.final_partition
 
     def emit(name: str, text: str):
         (out / name).write_text(text, encoding="utf-8")
 
     emit("report.json", report_to_json(report))
     emit("centrality.csv", centrality_table_csv(g, report.vectors))
-    emit("communities.csv", partition_to_csv(g, report.partition))
+    emit("communities.csv", partition_to_csv(g, partition))
     if report.gn_trace is not None:
         emit("gn_trace.csv", gn_trace_to_csv(g.labels, report.gn_trace))
     score_list = [report.vectors[m] for m in MEASURES]
     for fmt in exports:
-        emit(f"graph.{fmt}", export_graph(g, report.partition, score_list, fmt))
+        emit(f"graph.{fmt}", export_graph(g, partition, score_list, fmt))

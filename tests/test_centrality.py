@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -260,15 +261,23 @@ def test_metrics_and_centralities_share_one_sweep(monkeypatch):
     from commgraph.metrics import global_metrics
     from commgraph.synth import gen_planted_partition
 
-    g, _ = gen_planted_partition(3, 10, 0.3, 0.02, seed=5)
-    sources = []
-    kernel = graph_module.shortest_paths
+    g, _ = gen_planted_partition(3, 20, 0.3, 0.02, seed=5)  # N = 60: two sweep blocks
+    sweeps, sources = [], []
+    sweep, kernel = graph_module.sweep_all_pairs, graph_module.shortest_paths
+
+    def counting_sweep(adjacency):
+        sweeps.append(adjacency)
+        return sweep(adjacency)
 
     def counting(adjacency, source):
         sources.append(source)
         return kernel(adjacency, source)
 
+    monkeypatch.setattr(graph_module, "sweep_all_pairs", counting_sweep)
     monkeypatch.setattr(graph_module, "shortest_paths", counting)
+    # forked workers' kernel calls are invisible here; one CPU keeps the sweep in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     global_metrics(g)
     all_centralities(g)
+    assert len(sweeps) == 1
     assert sources == list(range(g.node_count))

@@ -14,6 +14,7 @@ from commgraph.cli import main
 from conftest import import_graph_json
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample"
+_COLLAB_FILES = [f"--{name}={SAMPLE / 'collab' / name}.csv" for name in ("edges", "nodes", "aliases")]
 
 
 @pytest.fixture
@@ -52,8 +53,7 @@ def test_bad_flag_exits_one_before_reading_input(argv, flag, monkeypatch, tmp_pa
     def fail(*args, **kwargs):
         raise AssertionError("input read before the flags were checked")
 
-    for module in ("cli", "report"):
-        monkeypatch.setattr(f"commgraph.{module}.load_dataset", fail)
+    monkeypatch.setattr("commgraph.report.load_dataset", fail)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--edges", str(SAMPLE / "edges.csv")])
@@ -68,7 +68,7 @@ def test_centrality_bad_damping_exits_one_before_reading_input(monkeypatch, caps
     def fail(*args, **kwargs):
         raise AssertionError("input read before the flags were checked")
 
-    monkeypatch.setattr("commgraph.cli.load_dataset", fail)
+    monkeypatch.setattr("commgraph.report.load_dataset", fail)
     with pytest.raises(SystemExit) as exc:
         main(["centrality", "--edges", str(SAMPLE / "edges.csv"), "--damping", "1.5"])
     assert exc.value.code == 1
@@ -169,6 +169,25 @@ def test_analyze_weighted_collab_sample_matches_committed_golden(tmp_path):
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["centrality", *_COLLAB_FILES, "--out"], "collab/expected/centrality.csv"),
+        (["communities", "--weighted", *_COLLAB_FILES, "--out"], "collab/expected/communities.csv"),
+        *(
+            (["export", "--with-analytics", "--weighted", "--format", fmt, *_COLLAB_FILES, "--out"], f"collab/expected/graph.{fmt}")
+            for fmt in ("gexf", "dot", "json")
+        ),
+        (["communities", "--edges", str(SAMPLE / "edges.csv"), "--gn-out"], "gn_trace.csv"),
+    ],
+    ids=["centrality", "communities", "export-gexf", "export-dot", "export-json", "communities-gn-out"],
+)
+def test_every_subcommand_reproduces_the_committed_files(argv, golden, tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, str(out)]) == 0
+    assert out.read_bytes() == (SAMPLE / golden).read_bytes()
+
+
 def test_alias_chain_merges_into_one_node(tmp_path, capsys):
     (tmp_path / "e.csv").write_text("source,target\nA,X\nB,Y\nC,Z\n", encoding="utf-8")
     (tmp_path / "a.csv").write_text("variant,canonical\nA,B\nB,C\n", encoding="utf-8")
@@ -251,8 +270,7 @@ def test_export_subcommand_round_trip(ring_dir, tmp_path):
 @pytest.mark.parametrize("weighted", [[], ["--weighted"]], ids=["unit", "weighted"])
 def test_export_writes_the_graph_analyze_exports(tmp_path, weighted):
     # every export writes the loaded graph's collapsed weights; --weighted only picks what Louvain reads
-    collab = SAMPLE / "collab"
-    inputs = [f"--{name}={collab / name}.csv" for name in ("edges", "nodes", "aliases")] + weighted
+    inputs = _COLLAB_FILES + weighted
     assert main(["analyze", *inputs, "--out", str(tmp_path / "a"), "--export", "json"]) == 0
     assert main(["export", *inputs, "--format", "json", "--out", str(tmp_path / "plain.json")]) == 0
     assert main(["export", *inputs, "--format", "json", "--with-analytics", "--out", str(tmp_path / "full.json")]) == 0
@@ -273,10 +291,11 @@ def test_export_with_analytics_carries_community(ring_dir, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["communities"], ["export", "--format", "json"], ["centrality"]],
-    ids=["communities", "export", "centrality"],
+    [["communities"], ["export", "--format", "json"], ["centrality"], ["analyze", "--out", "out"]],
+    ids=["communities", "export", "centrality", "analyze"],
 )
-def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, capsys):
+def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     dirty = tmp_path / "dirty.csv"
     dirty.write_bytes(b"source,target\nA\x01x,B\nC,D\nE\n")
     clean = tmp_path / "clean.csv"
@@ -288,6 +307,30 @@ def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, capsys):
     got = capsys.readouterr()
     assert got.out == want.out
     assert got.err == f"commgraph: warning: {dirty}: 2 rows rejected (first: line 2: control character U+0001)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, never",
+    [
+        (["communities"], ["report.girvan_newman", "graph.sweep_all_pairs", "report._digest"]),
+        (
+            ["export", "--weighted", "--format", "json"],
+            ["report.louvain", "graph.sweep_all_pairs", "report._digest", "graph.Graph.unweighted"],
+        ),
+        (["centrality"], ["report.louvain", "report._digest"]),
+    ],
+    ids=["communities", "export-weighted", "centrality"],
+)
+def test_each_command_runs_only_the_stages_it_names(argv, never, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran a stage the command does not need")
+
+    for name in never:
+        monkeypatch.setattr(f"commgraph.{name}", fail)
+    assert main([*argv, "--edges", str(SAMPLE / "edges.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out
+    assert captured.err == ""
 
 
 def test_closeness_warning_names_the_first_isolated_node_once():

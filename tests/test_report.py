@@ -8,6 +8,7 @@ import pytest
 from commgraph.centrality import CentralityVector, all_centralities
 from commgraph.cli import build_parser, main
 from commgraph.community import louvain
+from commgraph.errors import CommGraphError
 from commgraph.graph import Partition
 from commgraph.ingest import edges_to_csv
 from commgraph.report import (
@@ -173,7 +174,7 @@ def test_pipeline_reports_are_byte_identical(dataset):
 
 
 def test_pipeline_report_structure(dataset):
-    report = run_pipeline(dataset, validate_gn=True)
+    report = run_pipeline(dataset, stages=("centralities", "louvain", "gn", "report"))
     payload = json.loads(report_to_json(report))
     assert set(payload) == {"metrics", "centrality", "communities", "correlation", "cleaning", "meta"}
     assert payload["metrics"]["node_count"] == 20
@@ -222,9 +223,9 @@ def test_weighted_flag_feeds_collapsed_weights_to_louvain(tmp_path):
     path.write_text("source,target\n" + "\n".join(rows) + "\n", encoding="utf-8")
     weighted = run_pipeline(path, weighted=True)
     unweighted = run_pipeline(path)
-    assert weighted.louvain_q == pytest.approx(1 / 3)
-    assert unweighted.louvain_q == pytest.approx(0.0)
-    assert weighted.partition.assignment == (0, 0, 1, 1)  # heavy pairs together
+    assert weighted.dendrogram.final_q == pytest.approx(1 / 3)
+    assert unweighted.dendrogram.final_q == pytest.approx(0.0)
+    assert weighted.dendrogram.final_partition.assignment == (0, 0, 1, 1)  # heavy pairs together
 
 
 def test_pipeline_rejects_unknown_export(dataset, tmp_path):
@@ -242,3 +243,16 @@ def test_pipeline_no_partial_outputs_on_bad_input(tmp_path):
     # every artifact is computed before the first file is written
     assert main(["analyze", "--edges", str(bad), "--out", str(out), "--export", "gexf,dot,json", "--validate-gn"]) == 1
     assert not out.exists()
+
+
+def test_communities_writes_no_file_when_girvan_newman_fails(dataset, tmp_path, monkeypatch, capsys):
+    def fail(g):
+        raise CommGraphError("girvan-newman failed")
+
+    monkeypatch.setattr("commgraph.report.girvan_newman", fail)
+    part, trace = tmp_path / "part.csv", tmp_path / "trace.csv"
+    # every stage runs before the first file is written
+    assert main(["communities", "--edges", str(dataset), "--out", str(part), "--gn-out", str(trace)]) == 1
+    assert capsys.readouterr().err == "commgraph: error: girvan-newman failed\n"
+    assert not part.exists()
+    assert not trace.exists()
