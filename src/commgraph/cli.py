@@ -108,25 +108,16 @@ def _write_or_print(text: str, out):
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _run(args, *stages):
-    """`run_pipeline` over `stages` with the command's files and flags, naming rejected edge rows on stderr once read."""
-
-    def warn_rejected(log):
-        if log.rows_rejected:
-            line_no, reason = log.rows_rejected[0]
-            print(
-                f"commgraph: warning: {args.edges}: {len(log.rows_rejected)} rows rejected "
-                f"(first: line {line_no}: {reason})",
-                file=sys.stderr,
-            )
-
-    # the flags that `run_pipeline` takes as keyword arguments of the same name
-    options = {k: v for k, v in vars(args).items() if k in ("weighted", "spearman", "top_k", "damping", "seed")}
-    return run_pipeline(args.edges, args.nodes, args.aliases, stages=stages, on_load=warn_rejected, **options)
+def _run(args, *stages, **flags):
+    """`run_pipeline` over `stages` on the command's input files, with the `flags` it passes."""
+    return run_pipeline(args.edges, args.nodes, args.aliases, stages=stages, **flags)
 
 
 def _cmd_analyze(args) -> None:
-    report = _run(args, "centralities", "louvain", *(["gn"] if args.validate_gn else []), "report")
+    report = _run(
+        args, "centralities", "louvain", *(["gn"] if args.validate_gn else []), "report",
+        weighted=args.weighted, spearman=args.spearman, top_k=args.top_k, damping=args.damping, seed=args.seed,
+    )
     if args.out is None:
         sys.stdout.write(report_to_json(report))
     else:
@@ -145,19 +136,19 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_export(args) -> None:
-    report = _run(args, *(["centralities", "louvain"] if args.with_analytics else []))
+    report = _run(args, *(["centralities", "louvain"] if args.with_analytics else []), weighted=args.weighted)
     partition = report.dendrogram.final_partition if report.dendrogram else None
     scores = list(report.vectors.values()) if report.vectors else None
     _write_or_print(export_graph(report.graph, partition, scores, args.format), args.out)
 
 
 def _cmd_centrality(args) -> None:
-    report = _run(args, "centralities")
+    report = _run(args, "centralities", damping=args.damping)
     _write_or_print(centrality_table_csv(report.graph, report.vectors), args.out)
 
 
 def _cmd_communities(args) -> None:
-    report = _run(args, "louvain", *(["gn"] if args.gn_out is not None else []))
+    report = _run(args, "louvain", *(["gn"] if args.gn_out is not None else []), weighted=args.weighted)
     _write_or_print(partition_to_csv(report.graph, report.dendrogram.final_partition), args.out)
     if report.gn_trace is not None:
         _write_or_print(gn_trace_to_csv(report.graph.labels, report.gn_trace), args.gn_out)

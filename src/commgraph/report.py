@@ -26,6 +26,7 @@ from .metrics import MetricsReport, global_metrics
 logger = logging.getLogger(__name__)
 
 EXPORT_FORMATS = ("gexf", "dot", "json")
+STAGES = ("centralities", "louvain", "gn", "report")
 
 GEXF_NS = "http://www.gexf.net/1.2draft"
 
@@ -212,28 +213,37 @@ def run_pipeline(
     node_path=None,
     alias_path=None,
     *,
-    stages=("centralities", "louvain", "report"),
+    stages,
     weighted: bool = False,
     spearman: bool = False,
     top_k: int = 5,
     damping: float = 0.85,
     seed: int | None = None,
-    on_load=lambda cleaning: None,
 ) -> AnalysisReport:
     """Ingest, then run only the named `stages`; `write_outputs` writes the result.
 
     The stages are "centralities", "louvain", "gn" (Girvan-Newman) and
     "report" (global metrics, correlation, top-k and the input digest; it
     needs the first two). They run in one fixed order, whatever the order
-    given. `on_load(cleaning)` is called once ingest is done. Metrics and
-    centralities read hop distances only; community detection reads every
-    weight as 1 unless `weighted`. `top_k` (at least 1) and `damping` (in
-    (0, 1)) are checked by the CLI parser, before any input is read.
+    given. Rejected edge rows are logged as one warning once ingest is done.
+    Metrics and centralities read hop distances only; community detection
+    reads every weight as 1 unless `weighted`, and when it is the only work
+    the report's graph is that unit-weight copy. `top_k` (at least 1) and
+    `damping` (in (0, 1)) are checked by the CLI parser, before any input is read.
     """
+    if not set(stages) <= set(STAGES) or "report" in stages and not {"centralities", "louvain"} <= set(stages):
+        raise ValueError(f"stages {tuple(stages)}: each one of {STAGES}, and 'report' needs the first two")
     loaded, cleaning = load_dataset(edge_path, node_path, alias_path)
-    on_load(cleaning)
+    if cleaning.rows_rejected:
+        line_no, reason = cleaning.rows_rejected[0]
+        logger.warning(
+            "commgraph: warning: %s: %d rows rejected (first: line %d: %s)",
+            edge_path, len(cleaning.rows_rejected), line_no, reason,
+        )
     detecting = "louvain" in stages or "gn" in stages
     communities = (loaded if weighted else loaded.unweighted()) if detecting else None
+    if detecting and set(stages) <= {"louvain", "gn"}:
+        loaded = communities  # the output reads labels only; let the weighted graph go before Louvain
     reporting = "report" in stages
 
     metrics = global_metrics(loaded) if reporting else None

@@ -159,6 +159,10 @@ def test_export_dispatch_unknown_format(triangle, capsys):
 # --------------------------------------------------------------- pipeline
 
 
+# the stages `analyze` runs without --validate-gn
+ANALYZE = ("centralities", "louvain", "report")
+
+
 @pytest.fixture
 def dataset(tmp_path):
     g, _ = gen_ring_of_cliques(4, 5)
@@ -168,8 +172,8 @@ def dataset(tmp_path):
 
 
 def test_pipeline_reports_are_byte_identical(dataset):
-    a = report_to_json(run_pipeline(dataset))
-    b = report_to_json(run_pipeline(dataset))
+    a = report_to_json(run_pipeline(dataset, stages=ANALYZE))
+    b = report_to_json(run_pipeline(dataset, stages=ANALYZE))
     assert a == b
 
 
@@ -193,7 +197,7 @@ def test_pipeline_report_structure(dataset):
 
 def test_pipeline_ring_partition_matches_truth(dataset, tmp_path):
     out = tmp_path / "out"
-    write_outputs(run_pipeline(dataset), out, ("gexf", "dot", "json"))
+    write_outputs(run_pipeline(dataset, stages=ANALYZE), out, ("gexf", "dot", "json"))
     partition_csv = (out / "communities.csv").read_text(encoding="utf-8")
     _, truth = gen_ring_of_cliques(4, 5)
     communities = set()
@@ -210,7 +214,7 @@ def test_pipeline_ring_partition_matches_truth(dataset, tmp_path):
 
 
 def test_pipeline_weighted_flag_recorded(dataset):
-    report = run_pipeline(dataset, weighted=True, top_k=3)
+    report = run_pipeline(dataset, stages=ANALYZE, weighted=True, top_k=3)
     payload = json.loads(report_to_json(report))
     assert payload["meta"]["flags"]["weighted"] is True
     assert all(len(v) == 3 for v in payload["centrality"]["top_k"].values())
@@ -221,8 +225,8 @@ def test_weighted_flag_feeds_collapsed_weights_to_louvain(tmp_path):
     rows = ["A,B"] * 5 + ["B,C"] + ["C,D"] * 5 + ["D,A"]
     path = tmp_path / "square.csv"
     path.write_text("source,target\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    weighted = run_pipeline(path, weighted=True)
-    unweighted = run_pipeline(path)
+    weighted = run_pipeline(path, stages=("louvain",), weighted=True)
+    unweighted = run_pipeline(path, stages=("louvain",))
     assert weighted.dendrogram.final_q == pytest.approx(1 / 3)
     assert unweighted.dendrogram.final_q == pytest.approx(0.0)
     assert weighted.dendrogram.final_partition.assignment == (0, 0, 1, 1)  # heavy pairs together
@@ -243,6 +247,16 @@ def test_pipeline_no_partial_outputs_on_bad_input(tmp_path):
     # every artifact is computed before the first file is written
     assert main(["analyze", "--edges", str(bad), "--out", str(out), "--export", "gexf,dot,json", "--validate-gn"]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stages", [("centrality",), ("report",), ("centralities", "report")])
+def test_pipeline_rejects_an_unknown_or_incomplete_stage_set_before_reading_input(stages, tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("read the input")
+
+    monkeypatch.setattr("commgraph.report.load_dataset", fail)
+    with pytest.raises(ValueError, match="'report' needs the first two"):
+        run_pipeline(tmp_path / "edges.csv", stages=stages)
 
 
 def test_communities_writes_no_file_when_girvan_newman_fails(dataset, tmp_path, monkeypatch, capsys):
