@@ -27,7 +27,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DegenerateGraphError
+from .errors import ConvergenceError
 from .graph import Graph, left_sum
 
 logger = logging.getLogger(__name__)
@@ -46,9 +46,8 @@ class CentralityVector:
 
 
 def degree_centrality(g: Graph) -> CentralityVector:
+    """deg(v)/(N-1) on a graph of at least 2 nodes."""
     n = g.node_count
-    if n < 2:
-        raise DegenerateGraphError("normalized degree needs at least 2 nodes")
     return CentralityVector("degree", tuple(g.degree(v) / (n - 1) for v in range(n)))
 
 

@@ -105,11 +105,8 @@ def aggregate_graph(agg: AggregateGraph, p: Partition) -> AggregateGraph:
 
     Inter-community edges sum into single edges; intra-community weight
     (including existing self-loops) becomes the super-node's self-loop.
+    `p` covers every node of `agg`.
     """
-    if len(p.assignment) != agg.node_count:
-        raise PartitionMismatchError(
-            f"partition covers {len(p.assignment)} nodes, graph has {agg.node_count}"
-        )
     n = p.community_count
     adjacency: list[dict[int, float]] = [{} for _ in range(n)]
     self_loops = [0.0] * n
@@ -196,11 +193,9 @@ def _local_sweep(agg: AggregateGraph, m: float) -> tuple[list[int], bool]:
 
 
 def louvain(g: Graph) -> Dendrogram:
-    """Two-phase modularity optimization over successive aggregation levels."""
+    """Two-phase modularity optimization over successive aggregation levels; `g` needs at least one edge."""
     agg = AggregateGraph.from_graph(g)
     m = agg.total_weight
-    if m <= 0:
-        raise UndefinedModularityError("modularity is undefined with zero total edge weight")
     original = agg
     node_map = list(range(g.node_count))  # original node -> current super-node
 
@@ -291,10 +286,8 @@ def girvan_newman(g: Graph) -> GNTrace:
     their modularity is always evaluated on the original graph. The earliest
     maximum wins. A removal that splits nothing keeps the partition, so its
     Q is the previous Q: components are labelled once, and Q is evaluated
-    once plus once per split.
+    once plus once per split. `g` needs at least one edge.
     """
-    if g.edge_count == 0:
-        raise UndefinedModularityError("modularity is undefined with zero total edge weight")
     original = AggregateGraph.from_graph(g)
     adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
     ends, index = _edge_index(g)

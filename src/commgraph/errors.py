@@ -1,33 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each input is checked once, before any stage runs: ingest raises
+IngestError for the files, and `report.run_pipeline` raises
+DegenerateGraphError or UndefinedModularityError for a graph too small
+for the stages asked of it. The stage functions do not check again.
+"""
 
 
 class CommGraphError(Exception):
     """Base class for all commgraph errors."""
 
 
-class GraphBuildError(CommGraphError):
-    """Raised when parallel edge weights sum to inf while a graph is assembled.
-
-    Attributes:
-        edge: 1-based position of the edge whose weight overflowed its
-            collapsed sum.
-    """
-
-    def __init__(self, message: str, edge: int):
-        super().__init__(message)
-        self.edge = edge
-
-
 class IngestError(CommGraphError):
     """Raised on unrecoverable input-file problems (bad header, duplicate labels)."""
 
 
-class EmptyGraphError(CommGraphError):
-    """Raised when an operation requires at least one node."""
-
-
 class DegenerateGraphError(CommGraphError):
-    """Raised when a normalization is undefined for the graph size."""
+    """Raised when a graph has too few nodes for a stage: metrics need 1, normalized centralities 2."""
 
 
 class UndefinedModularityError(CommGraphError):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from .errors import GraphBuildError
-
 INF = math.inf
 
 
@@ -160,14 +158,14 @@ def collapse_edges(records, edges) -> tuple[Graph, int, int]:
     Returns the graph, the number of parallel edges collapsed and the number
     of self-loops dropped. A weight of None counts as 1.0; weights are
     positive and finite (ingest rejects any other row). Parallel edges
-    collapse by summing weights, and a sum that overflows to inf is an error
-    naming the edge by its 1-based position.
+    collapse by summing weights; a sum may overflow to inf, which ingest
+    refuses, naming the row.
     """
     records = tuple(records)
     n = len(records)
     duplicates = self_loops = 0
     weights: dict[int, float] = {}  # keyed u * n + v with u < v: an int hashes faster than a pair
-    for pos, (u, v, w) in enumerate(edges, start=1):
+    for u, v, w in edges:
         if w is None:
             w = 1.0
         if u == v:
@@ -175,12 +173,8 @@ def collapse_edges(records, edges) -> tuple[Graph, int, int]:
             continue
         key = u * n + v if u < v else v * n + u
         if key in weights:
-            total = weights[key] = weights[key] + w
+            weights[key] += w
             duplicates += 1
-            if total == INF:
-                raise GraphBuildError(
-                    f"edge {pos}: collapsed weight of {records[u].label!r} and {records[v].label!r} overflows", edge=pos
-                )
         else:
             weights[key] = w
 

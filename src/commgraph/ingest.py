@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import GraphBuildError, IngestError
+from .errors import IngestError
 from .graph import Graph, Memo, NodeRecord, canonical_label, collapse_edges, display_label
 
 INSTITUTION_KINDS = ("public", "medical", "technical", "other")
@@ -263,8 +263,10 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
     Nodes appearing only in the edge file are synthesized with kind `other`,
     named by their first spelling in row order. Node ids are assigned in
     canonical-label order, so identical input bytes always produce the
-    identical graph. A row whose weight makes its pair's collapsed weight
-    overflow is fatal, and so are collapsed weights whose largest is more
+    identical graph. The collapsed weights are checked here and nowhere
+    downstream: a pair whose weights sum to inf is fatal, naming the first
+    row, in row order, whose weight makes its pair's sum overflow (self-loops
+    are dropped first), and so are collapsed weights whose largest is more
     than MAX_WEIGHT_RATIO times their smallest.
     """
     edge_rows, log = parse_edge_csv(edge_path)
@@ -296,24 +298,29 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
     keys = sorted(registry)  # the canonical labels
     position = {key: i for i, key in enumerate(keys)}
     ids = {name: position[key] for name, key in node_key.items()}
-    try:
-        graph, log.duplicates_collapsed, log.self_loops_dropped = collapse_edges(
-            [registry[key] for key in keys],
-            ((ids[source], ids[target], weight) for source, target, weight, _ in edge_rows),
-        )
-    except GraphBuildError as exc:
-        row = edge_rows[exc.edge - 1]
-        raise IngestError(
-            f"{edge_path}: line {row.line_no}: weight {row.weight!r} makes the collapsed weight of "
-            f"{row.source_label!r} and {row.target_label!r} overflow"
-        ) from None
+    graph, log.duplicates_collapsed, log.self_loops_dropped = collapse_edges(
+        [registry[key] for key in keys],
+        ((ids[source], ids[target], weight) for source, target, weight, _ in edge_rows),
+    )
     weights = [w for nbrs in graph.adjacency for _, w in nbrs]
-    if weights and max(weights) / min(weights) > MAX_WEIGHT_RATIO:
+    heaviest = max(weights, default=0.0)
+    if heaviest == math.inf:  # some pair's sum overflowed: add the rows up again to find the one that tipped it
+        totals: dict[frozenset[int], float] = {}
+        for row in edge_rows:
+            pair = frozenset((ids[row.source_label], ids[row.target_label]))
+            if len(pair) == 2:
+                totals[pair] = totals.get(pair, 0.0) + (1.0 if row.weight is None else row.weight)
+                if totals[pair] == math.inf:
+                    raise IngestError(
+                        f"{edge_path}: line {row.line_no}: weight {row.weight!r} makes the collapsed weight of "
+                        f"{row.source_label!r} and {row.target_label!r} overflow"
+                    )
+    if weights and heaviest / min(weights) > MAX_WEIGHT_RATIO:
         u, v, lightest = min(graph.edges(), key=lambda edge: edge[2])
         row = next(r for r in edge_rows if {ids[r.source_label], ids[r.target_label]} == {u, v})
         raise IngestError(
             f"{edge_path}: line {row.line_no}: the collapsed weight {lightest!r} of {row.source_label!r} and "
-            f"{row.target_label!r} is more than 2**500 times smaller than the largest, {max(weights)!r}"
+            f"{row.target_label!r} is more than 2**500 times smaller than the largest, {heaviest!r}"
         )
     log.labels_merged = sorted(merged)
     return graph, log

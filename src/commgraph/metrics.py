@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyGraphError
 from .graph import Graph, left_sum
 
 
@@ -45,9 +44,6 @@ def global_metrics(g: Graph) -> MetricsReport:
     graph's shared `path_sweep`, which the path centralities read too.
     """
     n = g.node_count
-    if n == 0:
-        raise EmptyGraphError("metrics are undefined on an empty graph")
-
     sweep = g.path_sweep
     # the per-source totals count each unordered reachable pair from both ends
     dist_sum = sum(sweep.distance_totals) // 2

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, rank_top_k
 from .community import Dendrogram, GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
+from .errors import DegenerateGraphError, UndefinedModularityError
 from .graph import Graph, Partition, left_sum
 from .ingest import CleaningLog, load_dataset
 from .metrics import MetricsReport, global_metrics
@@ -64,28 +65,30 @@ def _ranks(values) -> list[float]:
 
 
 def pearson_correlation_matrix(vectors: list[CentralityVector], spearman: bool = False):
-    """Symmetric correlation matrix; zero-variance pairs yield None entries.
+    """Symmetric correlation matrix over vectors of one length; zero-variance pairs yield None entries.
 
-    With `spearman` it is Pearson's over average ranks.
+    With `spearman` it is Pearson's over average ranks. The null pairs off
+    the diagonal are logged as one warning naming their count and the first.
     """
-    if len({len(v.scores) for v in vectors}) > 1:
-        raise ValueError("centrality vectors must have equal length")
     data = [list(v.scores) for v in vectors]
     if spearman:
         data = [_ranks(col) for col in data]
     k = len(data)
     matrix: list[list[float | None]] = [[None] * k for _ in range(k)]
+    nulls = []
     for i in range(k):
         for j in range(i, k):
             r = _pearson(data[i], data[j])
-            if r is None and i < j:  # a null diagonal only repeats its row's warnings
-                logger.warning(
-                    "zero variance in %s/%s correlation, reporting null",
-                    vectors[i].measure,
-                    vectors[j].measure,
-                )
+            if r is None and i < j:  # a null diagonal only repeats its row's pairs
+                nulls.append(f"{vectors[i].measure}/{vectors[j].measure}")
             matrix[i][j] = r
             matrix[j][i] = r
+    if nulls:
+        logger.warning(
+            "commgraph: warning: zero variance in %d correlation pairs, reported as null (first: %s)",
+            len(nulls),
+            nulls[0],
+        )
     return matrix
 
 
@@ -225,7 +228,10 @@ def run_pipeline(
     The stages are "centralities", "louvain", "gn" (Girvan-Newman) and
     "report" (global metrics, correlation, top-k and the input digest; it
     needs the first two). They run in one fixed order, whatever the order
-    given. Rejected edge rows are logged as one warning once ingest is done.
+    given. Once ingest is done, rejected edge rows and unknown node kinds
+    are logged, one warning line each; then a graph too small for the
+    stages is refused before any of them runs (DegenerateGraphError or
+    UndefinedModularityError), and the stages do not check again.
     Metrics and centralities read hop distances only; community detection
     reads every weight as 1 unless `weighted`, and when it is the only work
     the report's graph is that unit-weight copy. `top_k` (at least 1) and
@@ -240,11 +246,23 @@ def run_pipeline(
             "commgraph: warning: %s: %d rows rejected (first: line %d: %s)",
             edge_path, len(cleaning.rows_rejected), line_no, reason,
         )
+    if cleaning.warnings:
+        logger.warning(
+            "commgraph: warning: %s: %d cleaning warnings (first: %s)",
+            node_path, len(cleaning.warnings), cleaning.warnings[0],
+        )
+    reporting = "report" in stages
     detecting = "louvain" in stages or "gn" in stages
+    # in the order the stages run, so the refusal names the first stage that would fail
+    if reporting and loaded.node_count == 0:
+        raise DegenerateGraphError("metrics are undefined on an empty graph")
+    if "centralities" in stages and loaded.node_count < 2:
+        raise DegenerateGraphError("normalized degree needs at least 2 nodes")
+    if detecting and loaded.edge_count == 0:
+        raise UndefinedModularityError("modularity is undefined with zero total edge weight")
     communities = (loaded if weighted else loaded.unweighted()) if detecting else None
     if detecting and set(stages) <= {"louvain", "gn"}:
         loaded = communities  # the output reads labels only; let the weighted graph go before Louvain
-    reporting = "report" in stages
 
     metrics = global_metrics(loaded) if reporting else None
     vectors = all_centralities(loaded, damping=damping) if "centralities" in stages else None

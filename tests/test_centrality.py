@@ -6,7 +6,7 @@ import random
 import pytest
 
 from commgraph.cli import build_parser
-from commgraph.errors import ConvergenceError, DegenerateGraphError
+from commgraph.errors import ConvergenceError
 from commgraph.centrality import (
     MEASURES,
     CentralityVector,
@@ -58,12 +58,6 @@ def test_degree_raw_counts(star4):
     n = len(star4.labels)
     raw = tuple(round(s * (n - 1)) for s in degree_centrality(star4).scores)
     assert raw == (3, 1, 1, 1)
-
-
-def test_degree_single_node_degenerate():
-    g = make_graph(1, [])
-    with pytest.raises(DegenerateGraphError):
-        degree_centrality(g)
 
 
 # ----------------------------------------------------------- betweenness

@@ -297,21 +297,29 @@ def test_export_with_analytics_carries_community(ring_dir, capsys):
 def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, monkeypatch, capsys, caplog):
     # the line is a library warning, which reaches stderr through logging's
     # last-resort handler; pytest's log capture takes it over in process, and
-    # the closeness test below checks the real stderr in a subprocess
+    # the closeness test below checks the real stderr in a subprocess. Unknown
+    # node kinds, which used to reach only report.json, follow on a line of their own.
     monkeypatch.chdir(tmp_path)
     dirty = tmp_path / "dirty.csv"
     dirty.write_bytes(b"source,target\nA\x01x,B\nC,D\nE\n")
     clean = tmp_path / "clean.csv"
     clean.write_bytes(b"source,target\nC,D\n")
-    assert main([*argv, "--edges", str(clean)]) == 0
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_bytes(b"label,kind\nC,other\nD,other\n")
+    odd_nodes = tmp_path / "odd_nodes.csv"  # both kinds fall back to `other`: the same graph
+    odd_nodes.write_bytes(b"label,kind\nC,alien\nD,Martian\n")
+    assert main([*argv, "--edges", str(clean), "--nodes", str(nodes)]) == 0
     want, want_warnings = capsys.readouterr(), list(caplog.messages)
     caplog.clear()
-    assert main([*argv, "--edges", str(dirty)]) == 0
+    assert main([*argv, "--edges", str(dirty), "--nodes", str(odd_nodes)]) == 0
     got = capsys.readouterr()
     assert got.out == want.out
     assert got.err == want.err == ""
-    line = f"commgraph: warning: {dirty}: 2 rows rejected (first: line 2: control character U+0001)"
-    assert caplog.messages == [line, *want_warnings]
+    assert caplog.messages == [
+        f"commgraph: warning: {dirty}: 2 rows rejected (first: line 2: control character U+0001)",
+        f"commgraph: warning: {odd_nodes}: 2 cleaning warnings (first: line 2: unknown kind 'alien' mapped to 'other')",
+        *want_warnings,
+    ]
 
 
 @pytest.mark.parametrize(
@@ -350,8 +358,76 @@ def test_closeness_warning_names_the_first_isolated_node_once():
     assert run.returncode == 0
     assert run.stderr.splitlines() == [
         f"commgraph: warning: {collab / 'edges.csv'}: 8 rows rejected (first: line 31: expected 3 fields, got 2)",
+        f"commgraph: warning: {collab / 'nodes.csv'}: 1 cleaning warnings (first: line 6: unknown kind 'Observatory' mapped to 'other')",
         "commgraph: warning: closeness of 1 isolated nodes reported as 0 (first: 'Omicron Works')",
     ]
+
+
+_DEGENERATE_EDGES = {
+    "header-only": "source,target\n",
+    "all-rejected": "source,target\nA,\n,B\n",
+    "one-self-loop": "source,target\nA,A\n",
+    "two-self-loops": "source,target\nA,A\nB,B\n",
+    "one-edge": "source,target\nA,B\n",
+}
+# each takes its output path last
+_EDGE_COMMANDS = {
+    "analyze": ["analyze", "--out"],
+    "analyze-gn": ["analyze", "--validate-gn", "--out"],
+    "centrality": ["centrality", "--out"],
+    "communities": ["communities", "--out"],
+    "communities-gn": ["communities", "--gn-out"],
+    "export": ["export", "--format", "json", "--out"],
+    "export-analytics": ["export", "--with-analytics", "--format", "json", "--out"],
+}
+_EMPTY = "metrics are undefined on an empty graph"
+_ONE_NODE = "normalized degree needs at least 2 nodes"
+_NO_EDGE = "modularity is undefined with zero total edge weight"
+# the error each command exits 1 with, in _EDGE_COMMANDS order; None is exit 0
+_REFUSALS = {
+    "header-only": (_EMPTY, _EMPTY, _ONE_NODE, _NO_EDGE, _NO_EDGE, None, _ONE_NODE),
+    "all-rejected": (_EMPTY, _EMPTY, _ONE_NODE, _NO_EDGE, _NO_EDGE, None, _ONE_NODE),
+    "one-self-loop": (_ONE_NODE, _ONE_NODE, _ONE_NODE, _NO_EDGE, _NO_EDGE, None, _ONE_NODE),
+    "two-self-loops": (_NO_EDGE, _NO_EDGE, None, _NO_EDGE, _NO_EDGE, None, _NO_EDGE),
+    "one-edge": (None,) * 7,
+}
+_ZERO_VARIANCE = "commgraph: warning: zero variance in 10 correlation pairs, reported as null (first: degree/betweenness)"
+# the warnings of a run that exits 0, beyond the rejected-rows line
+_STAGE_WARNINGS = {
+    ("two-self-loops", "centrality"): "commgraph: warning: closeness of 2 isolated nodes reported as 0 (first: 'A')",
+    ("one-edge", "analyze"): _ZERO_VARIANCE,
+    ("one-edge", "analyze-gn"): _ZERO_VARIANCE,
+}
+
+
+@pytest.mark.parametrize("command", _EDGE_COMMANDS)
+@pytest.mark.parametrize("case", _DEGENERATE_EDGES)
+def test_degenerate_graph_is_refused_before_any_stage_runs(case, command, tmp_path, monkeypatch, capsys, caplog):
+    # a refused run used to compute every stage before the failing one: the
+    # all-pairs sweep, with its closeness warning, ran before Louvain refused
+    def fail(*args, **kwargs):
+        raise AssertionError("a stage ran on a graph the pipeline refuses")
+
+    edges = tmp_path / "edges.csv"
+    edges.write_text(_DEGENERATE_EDGES[case], encoding="utf-8")
+    out = tmp_path / "out"
+    refusal = _REFUSALS[case][list(_EDGE_COMMANDS).index(command)]
+    if refusal is not None:
+        for name in ("global_metrics", "all_centralities", "louvain", "girvan_newman"):
+            monkeypatch.setattr(f"commgraph.report.{name}", fail)
+    rc = main([*_EDGE_COMMANDS[command], str(out), "--edges", str(edges)])
+    captured = capsys.readouterr()
+    # library warnings reach stderr through logging, which caplog takes over in process
+    stderr = "".join(f"{message}\n" for message in caplog.messages) + captured.err
+    lines = [f"commgraph: warning: {edges}: 2 rows rejected (first: line 2: empty target)"] if case == "all-rejected" else []
+    lines += [_STAGE_WARNINGS[case, command]] if (case, command) in _STAGE_WARNINGS else []
+    if refusal is None:
+        assert rc == 0
+    else:
+        lines.append(f"commgraph: error: {refusal}")
+        assert (rc, captured.out) == (1, "")
+        assert not out.exists()
+    assert stderr == "".join(f"{line}\n" for line in lines)
 
 
 # every weight scaled alike: modularity is scale-free, so the answer is the unit-weight one

@@ -344,6 +344,16 @@ def test_collapsed_weight_overflow_is_fatal_naming_the_row(tmp_path):
     g, log = load_dataset(e)
     assert list(g.edges()) == [(0, 1, 1.7e308)]
     assert log.duplicates_collapsed == 1
+    # self-loops are dropped before any sum, so theirs cannot overflow
+    e.write_text("source,target,weight\nA,A,1e308\na,a,1e308\nA,B,1\n", encoding="utf-8")
+    g, log = load_dataset(e)
+    assert list(g.edges()) == [(0, 1, 1.0)]
+    assert log.self_loops_dropped == 2
+    # two pairs overflow, after self-loops that would: the row named is the
+    # first to overflow a pair in row order, not a row of the smaller pair
+    e.write_text("source,target,weight\nA,A,1e308\na,a,1e308\nA,B,1e308\nC,D,1e308\nd,c,1e308\nb,a,1e308\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=rf"^{re.escape(str(e))}: line 6: weight 1e\+308 makes the collapsed weight of 'd' and 'c' overflow$"):
+        load_dataset(e)
 
 
 _NAMES = ["Northside University", "City College", "Tech Institute", "Valley Medical", "Omicron Works", "Harbor Clinic"]

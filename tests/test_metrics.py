@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from commgraph.errors import EmptyGraphError
-from commgraph.graph import Graph, NodeRecord, collapse_edges
+from commgraph.graph import NodeRecord, collapse_edges
 from commgraph.metrics import global_metrics, local_clustering
 from conftest import make_graph
 from oracles import floyd_warshall, random_graph
@@ -71,12 +70,6 @@ def test_complete_graph_extremes():
         assert rep.average_path_length == 1.0
         assert rep.diameter == 1
         assert rep.average_clustering == 1.0
-
-
-def test_empty_graph_rejected():
-    g = Graph(records=(), adjacency=(), edge_count=0)
-    with pytest.raises(EmptyGraphError):
-        global_metrics(g)
 
 
 def test_disconnected_graph_uses_reachable_pairs():
