@@ -5,9 +5,9 @@ metrics in `metrics`) share one BFS per source: `Graph.path_sweep` runs
 `graph.shortest_paths` from every node once, caches what all four need, and
 each consumer only normalizes its part. The sweep deals blocks of
 `graph.SWEEP_BLOCK` consecutive sources to one forked process per usable
-CPU; each holds one block's dependency vectors at a time, and each node's
-betweenness adds the sources' terms in ascending source order, so the
-scores are the same bits whatever the process count.
+CPU, which sends each block back whole. The calling process alone adds
+the blocks' dependency vectors, in ascending source order, so the scores
+are the same bits whatever the process count.
 
 Conventions (all for undirected unweighted traversal, all normalized):
     degree       deg(v)/(N-1)

@@ -3,10 +3,14 @@
 Determinism contract: Louvain sweeps nodes in ascending id order, breaks
 gain ties toward the lowest community id, and never randomizes, so a given
 graph always yields the same dendrogram. Girvan-Newman breaks betweenness
-ties toward the smallest (min-id, max-id) endpoint pair only when the tied
-scores are equal as floats: at step 299 on `gen_planted_partition(4, 30,
-0.2, 0.01, seed=1)`, (77, 79) and (77, 87) both have betweenness 14/3, but
-summation order rounds (77, 87)'s score one unit in the last place higher.
+ties toward the smallest (min-id, max-id) endpoint pair, and counts as tied
+every score within 2e-12 of the maximum, relative to it (`_GN_TIE_REL`).
+Equal betweenness can sum to different floats: at step 299 on
+`gen_planted_partition(4, 30, 0.2, 0.01, seed=1)`, (77, 79) and (77, 87)
+both have betweenness 14/3, but summation order rounds (77, 87)'s score one
+unit in the last place higher, and an exact argmax removed it first. The
+cost is that two distinct scores closer than the tolerance also count as
+tied; exact rational scores would avoid that, at the price of GN's speed.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .graph import Graph, Partition, components, left_sum, shortest_paths
 
 _GAIN_EPS = 1e-7  # level-to-level modularity improvement below this stops Louvain
 _UNSCALED = (2.0**-64, 2.0**64)  # weights in this range need no scaling (`AggregateGraph.from_graph`)
+_GN_TIE_REL = 2e-12  # betweenness this close to the maximum, relative to it, ties with it (module docstring)
 
 
 @dataclass
@@ -276,8 +281,8 @@ class GNTrace:
 def girvan_newman(g: Graph) -> GNTrace:
     """Remove max-betweenness edges one at a time, recomputing after each.
 
-    Each step removes the edge of greatest float betweenness; the module
-    docstring says when ties go to the smallest pair. After a removal only
+    Each step removes the edge of greatest betweenness; the module
+    docstring says how ties go to the smallest pair. After a removal only
     the component(s) holding its endpoints are recomputed (Girvan & Newman
     2002); every other edge keeps its score, which a full recompute would
     reproduce bit for bit.
@@ -300,8 +305,10 @@ def girvan_newman(g: Graph) -> GNTrace:
     scores = [0.0] * len(ends)
     _edge_dependencies(adjacency, index, range(g.node_count), scores)
     for _ in ends:
-        # the first maximum has the smallest (u, v): float-equal scores go to the smallest pair
-        k = scores.index(max(scores))
+        # edges are numbered in (u, v) order: the first score tied with the maximum has the smallest pair
+        top = max(scores)
+        tied = top - top * _GN_TIE_REL
+        k = scores.index(next(filter(tied.__le__, scores)))
         u, v = ends[k]
         adjacency[u].remove(v)
         adjacency[v].remove(u)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-import mmap
 import os
+import pickle
 import signal
 import threading
 from array import array
@@ -256,14 +257,10 @@ class PathSweep:
     component_count: int
 
 
-# Sources are swept in blocks of this many consecutive ids. A worker process
-# holds one block's dependency vectors at a time: 8 * SWEEP_BLOCK * N bytes,
-# about 5 MB at N = 20,000.
+# Sources are swept in blocks of this many consecutive ids. The calling
+# process and each worker process hold one block's dependency vectors at a
+# time: 8 * SWEEP_BLOCK * N bytes, about 5 MB at N = 20,000.
 SWEEP_BLOCK = 32
-# The worker processes' shared buffer holds one column of 8-byte items per
-# field, each N long: the dependency prefix, then the per-source fields in the
-# order `_source_pass` returns them.
-_COLUMN_CODES = "dqqdqq"
 
 
 def _source_pass(adjacency, s: int):
@@ -292,108 +289,85 @@ def _source_pass(adjacency, s: int):
     return (len(order) - 1, total, h, dist[order[-1]], min(order) == s), array("d", delta)
 
 
-def _path_sweep(columns, dependency) -> PathSweep:
-    reach, totals, harmonic, eccentricity, roots = columns
-    return PathSweep(
-        tuple(reach), tuple(totals), tuple(harmonic), tuple(dependency), max(eccentricity, default=0), sum(roots)
-    )
-
-
 def sweep_all_pairs(adjacency) -> PathSweep:
     """Run `shortest_paths` from every source once and gather a PathSweep.
 
-    The sources are cut into blocks of SWEEP_BLOCK consecutive ids, dealt
-    round-robin to one forked process per usable CPU, never more processes
-    than blocks. One block, one CPU, another running thread (forking then is
-    unsafe) or a platform without `os.fork` keep the sweep in this process.
-    Either way each source runs the same `_source_pass`, and each node's
-    dependency adds the sources' terms one by one in ascending source
-    order, so the result is the same bit for bit.
+    The sources are cut into blocks of SWEEP_BLOCK consecutive ids. Forked
+    processes, one per usable CPU and never more than blocks, run the
+    blocks' `_source_pass`es; one block, one CPU, another running thread
+    (forking then is unsafe) or a platform without `os.fork` keep them in
+    this process. Either way this process takes the blocks in order and
+    adds each node's dependency terms one by one in ascending source order,
+    in one loop, so the result is the same bit for bit.
     """
     n = len(adjacency)
     blocks = [range(lo, min(lo + SWEEP_BLOCK, n)) for lo in range(0, n, SWEEP_BLOCK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(blocks))
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        return _sweep_forked(adjacency, blocks, workers)
+        swept = _forked_blocks(adjacency, blocks, workers)
+    else:
+        swept = contextlib.nullcontext(lambda b: [_source_pass(adjacency, s) for s in blocks[b]])
     rows = []
     dependency = [0.0] * n
-    for s in range(n):
-        fields, delta = _source_pass(adjacency, s)
-        rows.append(fields)
-        dependency = list(map(add, dependency, delta))
-    return _path_sweep(tuple(zip(*rows)) or ((),) * 5, dependency)
+    with swept as block_passes:
+        for b in range(len(blocks)):
+            for fields, delta in block_passes(b):
+                rows.append(fields)
+                dependency = list(map(add, dependency, delta))
+    reach, totals, harmonic, eccentricity, roots = zip(*rows) if rows else ((),) * 5
+    return PathSweep(reach, totals, harmonic, tuple(dependency), max(eccentricity, default=0), sum(roots))
 
 
-def _sweep_forked(adjacency, blocks, workers: int) -> PathSweep:
-    """`sweep_all_pairs` over `workers` forked processes.
+@contextlib.contextmanager
+def _forked_blocks(adjacency, blocks, workers: int):
+    """Fork `workers` processes that run the blocks' `_source_pass`es; yield a reader of block b's results.
 
-    Worker k sweeps blocks k, k + workers, ... Before it adds a block's
-    dependency vectors to the running prefix, it waits for a one-byte token
-    from the worker that added the block before; then it passes a token on.
-    The prefix and every source's fields live in an anonymous shared mmap:
-    the prefix alone outgrows a pipe's buffer at N = 8,192. Only workers
-    hold pipe ends, so a worker that dies closes its successor's pipe, which
-    fails in turn. The parent reaps every worker, raises RuntimeError if one
-    failed, and on any exception kills and reaps those still running.
+    Worker k runs blocks k, k + workers, ... and pickles each one to its own
+    pipe, which the reader takes block b from as pipe b % workers. A worker
+    waits on a full pipe until this process reads, so no worker runs far
+    ahead of the reader. Only worker k holds pipe k's write end, so a worker
+    that dies ends its pipe early, and the reader raises RuntimeError naming
+    the block that did not arrive. On any exception every worker still
+    running is killed and reaped.
     """
-    n = len(adjacency)
-    width = 8 * n
-    fds: list[int] = []  # read and write end of pipe k at 2k and 2k + 1; worker k reads pipe k
+    readers = []
     pids: list[int] = []
-    with mmap.mmap(-1, width * len(_COLUMN_CODES)) as shared:
-        try:
-            for _ in range(workers):
-                fds += os.pipe()
-            for k in range(workers):
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(w, "wb") as out:  # closes this process's write end once the worker holds its own
                 pid = os.fork()
                 if pid == 0:  # the worker never returns from this branch
                     status = 1
                     try:
-                        wait_fd, pass_fd = fds[2 * k], fds[2 * ((k + 1) % workers) + 1]
-                        for fd in fds:
-                            if fd not in (wait_fd, pass_fd):
-                                os.close(fd)
-                        _sweep_worker(adjacency, blocks, k, workers, shared, wait_fd, pass_fd)
+                        for reader in readers:
+                            reader.close()  # else a full pipe would block this worker forever if the parent died
+                        for b in range(k, len(blocks), workers):
+                            pickle.dump([_source_pass(adjacency, s) for s in blocks[b]], out)
+                            out.flush()
                         status = 0
                     finally:
                         os._exit(status)  # no traceback, no atexit, no flush of the parent's buffers
-                pids.append(pid)
-            while fds:
-                os.close(fds.pop())
-            failures = []
-            while pids:
-                _, status = os.waitpid(pids[0], 0)
-                pids.pop(0)
-                if status:
-                    failures.append(os.waitstatus_to_exitcode(status))
-            if failures:
-                raise RuntimeError(f"all-pairs sweep: a worker process failed (exit codes {failures})")
-            columns = [array(code, shared[i * width : (i + 1) * width]) for i, code in enumerate(_COLUMN_CODES)]
-        finally:
-            while fds:
-                os.close(fds.pop())
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            for pid in pids:
-                os.waitpid(pid, 0)
-    return _path_sweep(columns[1:], columns[0])
+            pids.append(pid)
 
+        def block_passes(b: int):
+            try:
+                return pickle.load(readers[b % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(
+                    f"all-pairs sweep: block {b} of {len(blocks)} did not arrive; its worker process failed"
+                ) from None
 
-def _sweep_worker(adjacency, blocks, first: int, step: int, shared, wait_fd: int, pass_fd: int) -> None:
-    """Sweep blocks first, first + step, ..., adding each to the shared dependency prefix in block order."""
-    width = 8 * len(adjacency)
-    for b in range(first, len(blocks), step):
-        block = blocks[b]
-        passes = [_source_pass(adjacency, s) for s in block]
-        if b and not os.read(wait_fd, 1):
-            raise RuntimeError("the worker adding the previous block failed")
-        dependency = array("d", shared[:width])
-        for _, delta in passes:
-            dependency = map(add, dependency, delta)  # chained lazily, each node still adds in source order
-        shared[:width] = array("d", dependency).tobytes()
-        if b + 1 < len(blocks):
-            os.write(pass_fd, b".")
-        for i, code in enumerate(_COLUMN_CODES[1:]):
-            lo = (i + 1) * width + 8 * block.start
-            shared[lo : lo + 8 * len(block)] = array(code, [fields[i] for fields, _ in passes]).tobytes()
+        yield block_passes
+        while pids:  # every block is read, so every worker is exiting
+            os.waitpid(pids[-1], 0)
+            pids.pop()
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)

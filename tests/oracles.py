@@ -26,6 +26,7 @@ import numpy as np
 
 from commgraph.community import (
     _GAIN_EPS,
+    _GN_TIE_REL,
     AggregateGraph,
     Dendrogram,
     GNTrace,
@@ -281,7 +282,8 @@ def girvan_newman_full_recompute(g: Graph) -> GNTrace:
     edges_left = g.edge_count
     while edges_left:
         scores = _full_edge_betweenness(adjacency)
-        target = min(scores, key=lambda e: (-scores[e], e))
+        top = max(scores.values())
+        target = min(e for e, x in scores.items() if x >= top - top * _GN_TIE_REL)
         u, v = target
         adjacency[u].remove(v)
         adjacency[v].remove(u)

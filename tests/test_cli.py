@@ -219,16 +219,6 @@ def test_sample_dataset_regenerates_bit_identically(tmp_path):
     assert (out / "partition.csv").read_bytes() == (SAMPLE / "partition.csv").read_bytes()
 
 
-def test_analyze_all_rows_invalid_exits_one(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("source,target\nA,\n,B\n", encoding="utf-8")
-    out = tmp_path / "out"
-    rc = main(["analyze", "--edges", str(bad), "--out", str(out)])
-    assert rc == 1
-    assert not out.exists()
-    assert "error" in capsys.readouterr().err
-
-
 def test_analyze_missing_file_exits_one(tmp_path, capsys):
     rc = main(["analyze", "--edges", str(tmp_path / "nope.csv")])
     assert rc == 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import random
 import signal
 import time
@@ -313,16 +314,46 @@ def test_a_graph_of_one_block_never_forks(cpus, monkeypatch):
     assert sweep_all_pairs(adjacency) == sweep_all_pairs_reference(adjacency)
 
 
-# Whichever worker fails, the other one then finds the pipe it awaits a
-# token on closed, and stops too: both exit 1. The planted partition has
-# four blocks; a source in the first, second and third block fails.
+# The planted partition has four blocks; a source in the first, second and
+# third block fails, and the sweep names that block.
 @pytest.mark.parametrize("source", [0, SWEEP_BLOCK, 3 * SWEEP_BLOCK - 1])
 def test_a_failing_worker_makes_the_sweep_raise_and_write_nothing(cpus, monkeypatch, capfd, source):
     cpus(2)
     failing_at(monkeypatch, source, ValueError("kernel failed"))
-    with pytest.raises(RuntimeError, match=r"worker process failed \(exit codes \[1, 1\]\)"):
+    block = source // SWEEP_BLOCK
+    with pytest.raises(RuntimeError, match=rf"^all-pairs sweep: block {block} of 4 did not arrive; its worker"):
         sweep_all_pairs(SWEEP_GRAPHS["planted partition"]().neighbor_ids)
     assert capfd.readouterr() == ("", "")
+
+
+# The worker of block 1 kills itself while computing the block, or after
+# sending half of its pickle; either way this process finds the pipe ended.
+@pytest.mark.parametrize("sending", [False, True], ids=["computing", "sending"])
+def test_a_worker_killed_mid_sweep_makes_the_sweep_raise(cpus, monkeypatch, sending):
+    kernel = graph_module.shortest_paths
+    dump = pickle.dump
+    doomed = []  # filled only in the process running block 1
+
+    def kernel_of_doomed_worker(adjacency, s):
+        if s == SWEEP_BLOCK + 1:
+            doomed.append(s)
+            if not sending:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return kernel(adjacency, s)
+
+    def dump_cut_short(passes, out):
+        if doomed:
+            data = pickle.dumps(passes)
+            out.write(data[: len(data) // 2])
+            out.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        dump(passes, out)
+
+    monkeypatch.setattr(graph_module, "shortest_paths", kernel_of_doomed_worker)
+    monkeypatch.setattr(pickle, "dump", dump_cut_short)
+    cpus(2)
+    with pytest.raises(RuntimeError, match=r"^all-pairs sweep: block 1 of 4 did not arrive"):
+        sweep_all_pairs(SWEEP_GRAPHS["planted partition"]().neighbor_ids)
 
 
 def test_a_failing_worker_makes_main_exit_2(cpus, monkeypatch, capsys):
@@ -342,18 +373,40 @@ def test_an_interrupted_sweep_kills_and_reaps_its_workers(cpus, monkeypatch):
             time.sleep(600)  # only a kill ends this worker before the test's alarm
         return kernel(adjacency, s)
 
-    monkeypatch.setattr(graph_module, "shortest_paths", stuck_at_second_block)
-    waitpid = os.waitpid
-    calls = []
+    load = pickle.load
+    reads = []
 
-    def interrupted_once(pid, options):
-        calls.append(pid)
-        if len(calls) == 1:
-            raise KeyboardInterrupt
+    def interrupted_at_second_block(file):
+        reads.append(file)
+        if len(reads) == 2:
+            raise KeyboardInterrupt  # as Ctrl-C would, while this process waits for block 1
+        return load(file)
+
+    fork, kill, waitpid = os.fork, os.kill, os.waitpid
+    forked, killed, reaped = [], [], []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def recording_kill(pid, signum):
+        killed.append((pid, signum))
+        kill(pid, signum)
+
+    def recording_waitpid(pid, options):
+        reaped.append(pid)
         return waitpid(pid, options)
 
-    monkeypatch.setattr(os, "waitpid", interrupted_once)
+    monkeypatch.setattr(graph_module, "shortest_paths", stuck_at_second_block)
+    monkeypatch.setattr(pickle, "load", interrupted_at_second_block)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "kill", recording_kill)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
     cpus(3)
     with pytest.raises(KeyboardInterrupt):
         sweep_all_pairs(SWEEP_GRAPHS["planted partition"]().neighbor_ids)
-    assert len(calls) == 1 + 3  # the interrupted wait, then one reap per worker
+    assert len(reads) == 2 and len(forked) == 3
+    assert killed == [(pid, signal.SIGKILL) for pid in forked]
+    assert reaped == forked

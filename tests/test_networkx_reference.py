@@ -1,8 +1,10 @@
 """Differential tests against networkx at realistic sizes (N of 360 and 600).
 
 The graphs are sparse planted partitions with isolates and several
-components, so every path measure meets unreachable pairs. networkx is a
-test-only dependency; these tests skip when it is not installed.
+components, so every path measure meets unreachable pairs. Girvan-Newman is
+replayed removal by removal on two planted partitions of N = 80, about 1.5 s
+each. networkx is a test-only dependency; these tests skip when it is not
+installed.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from commgraph.centrality import betweenness_centrality, closeness_centrality, harmonic_centrality, pagerank
-from commgraph.community import louvain, modularity
+from commgraph.community import girvan_newman, louvain, modularity
 from commgraph.metrics import global_metrics
 from commgraph.synth import gen_planted_partition
 from conftest import communities
@@ -90,3 +92,27 @@ def test_modularity_of_louvain_partition(pair):
     partition = louvain(g).final_partition
     want = nx.community.modularity(ref, communities(partition))
     assert modularity(g, partition) == pytest.approx(want, abs=1e-12)
+
+
+# Seed 1 at step 164 and seed 2 at steps 132, 147 and 156 hold edges of equal
+# betweenness whose float sums differ in the last place; an exact argmax
+# removed the larger pair first there.
+@pytest.mark.parametrize("seed", [1, 2])
+def test_girvan_newman_replays_every_removal(seed):
+    g, _ = gen_planted_partition(4, 20, 0.25, 0.02, seed)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.node_count))
+    ref.add_edges_from((u, v) for u, v, _ in g.edges())
+    original = ref.copy()
+    trace = girvan_newman(g)
+    assert len(trace.removals) == g.edge_count
+    want = nx.community.modularity(original, nx.connected_components(ref))
+    for (u, v), q in trace.removals:
+        scores = nx.edge_betweenness_centrality(ref, normalized=False)
+        top = max(scores.values())
+        # tied: equal up to networkx's own rounding, far below any gap between distinct scores here
+        assert (u, v) == min(tuple(sorted(e)) for e, x in scores.items() if x >= top * (1 - 1e-9))
+        ref.remove_edge(u, v)
+        if not nx.has_path(ref, u, v):  # only a split changes the components, and so Q
+            want = nx.community.modularity(original, nx.connected_components(ref))
+        assert q == pytest.approx(want, abs=1e-12)
