@@ -11,6 +11,10 @@ both have betweenness 14/3, but summation order rounds (77, 87)'s score one
 unit in the last place higher, and an exact argmax removed it first. The
 cost is that two distinct scores closer than the tolerance also count as
 tied; exact rational scores would avoid that, at the price of GN's speed.
+The rule also absorbs GN's block sums: a recompute of more than SWEEP_BLOCK
+sources sums each block's dependencies apart, then adds the block sums, so
+its scores can differ in the last bits from a full recompute's. The
+removals and Q match it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import PartitionMismatchError, UndefinedModularityError
-from .graph import Graph, Partition, components, left_sum, shortest_paths
+from .graph import SWEEP_BLOCK, Graph, Partition, block_pool, components, left_sum, shortest_paths
 
 _GAIN_EPS = 1e-7  # level-to-level modularity improvement below this stops Louvain
 _UNSCALED = (2.0**-64, 2.0**64)  # weights in this range need no scaling (`AggregateGraph.from_graph`)
@@ -240,22 +244,16 @@ def _edge_index(g: Graph) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:
     return ends, index
 
 
-def _edge_dependencies(adjacency, index, sources, scores: list[float], traversals=None) -> None:
-    """Reset the edges of `sources` in `scores`, then add their Brandes dependencies.
+def _edge_dependencies(adjacency, index, sources, scores, traversals=None) -> None:
+    """Add the Brandes dependencies of `sources`, one source after another, into `scores`.
 
-    `scores` is indexed by edge number (`_edge_index`). `sources` must be
-    whole components in ascending id order. An edge only gains dependency
-    from sources in its own component, so each edge's sum then has the same
-    terms in the same order as a run over all nodes, and edges outside
-    `sources` keep their scores. `traversals` maps a source to the
-    `shortest_paths` result the caller already has for it on this
-    adjacency; its `order` list is consumed.
+    `scores` is indexed by edge number (`_edge_index`). An edge only gains
+    dependency from sources in its own component. `traversals` maps a
+    source to the `shortest_paths` result the caller already has for it on
+    this adjacency; its `order` list is consumed.
     """
     n = len(adjacency)
     traversals = traversals or {}
-    for u in sources:
-        for v in adjacency[u]:
-            scores[index[u][v]] = 0.0
     for s in sources:
         order, _, sigma, preds = traversals.get(s) or shortest_paths(adjacency, s)
         delta = [0.0] * n
@@ -284,8 +282,15 @@ def girvan_newman(g: Graph) -> GNTrace:
     Each step removes the edge of greatest betweenness; the module
     docstring says how ties go to the smallest pair. After a removal only
     the component(s) holding its endpoints are recomputed (Girvan & Newman
-    2002); every other edge keeps its score, which a full recompute would
-    reproduce bit for bit.
+    2002); every other edge keeps its score. A recompute zeroes the edges
+    of its sources, whole components in ascending id, and cuts the sources
+    into blocks of SWEEP_BLOCK. A single block is run in this process,
+    straight into the scores, reusing the reach traversals. With more
+    blocks, `block_pool` sums each block into one vector over edge numbers,
+    in forked workers or, on one CPU, in this process, and this process
+    adds the vectors in block order; the scores do not depend on the
+    process count. Each edge's score has a full recompute's terms, summed
+    per block, which the tie rule absorbs (module docstring).
 
     Candidate partitions are the connected components of the pruned graph;
     their modularity is always evaluated on the original graph. The earliest
@@ -297,40 +302,62 @@ def girvan_newman(g: Graph) -> GNTrace:
     adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
     ends, index = _edge_index(g)
 
+    def block_scores(adjacency, block):
+        vector = [0.0] * len(ends)
+        _edge_dependencies(adjacency, index, block, vector)
+        return vector
+
+    # unhalved edge betweenness by edge number; halving is exact, so the argmax is the same
+    scores = [0.0] * len(ends)
+    removed: list[tuple[int, int]] = []  # since the pool's last round
+
+    def recompute(sources, traversals=None):
+        edges = [index[u][v] for u in sources for v in adjacency[u] if u < v]
+        for k in edges:
+            scores[k] = 0.0
+        if len(sources) <= SWEEP_BLOCK:
+            _edge_dependencies(adjacency, index, sources, scores, traversals)
+            return
+        # block sums, added in block order
+        for vector in run_round(sources, tuple(removed)):
+            for k in edges:
+                scores[k] += vector[k]
+        removed.clear()
+
     part = components(adjacency)
     q = _modularity_kernel(original, part.assignment)
     best_partition, best_q = part, q
     removals: list[tuple[tuple[int, int], float]] = []
-    # unhalved edge betweenness by edge number; halving is exact, so the argmax is the same
-    scores = [0.0] * len(ends)
-    _edge_dependencies(adjacency, index, range(g.node_count), scores)
-    for _ in ends:
-        # edges are numbered in (u, v) order: the first score tied with the maximum has the smallest pair
-        top = max(scores)
-        tied = top - top * _GN_TIE_REL
-        k = scores.index(next(filter(tied.__le__, scores)))
-        u, v = ends[k]
-        adjacency[u].remove(v)
-        adjacency[v].remove(u)
-        scores[k] = -math.inf
-        # these traversals are also the first sources `_edge_dependencies` recomputes
-        traversals = {u: shortest_paths(adjacency, u)}
-        reach, dist = traversals[u][:2]
-        if dist[v] == math.inf:
-            # the removal split u's component: v's side becomes a new community
-            traversals[v] = shortest_paths(adjacency, v)
-            split = traversals[v][0]
-            label = list(part.assignment)
-            for w in split:
-                label[w] = part.community_count
-            part = Partition.from_assignment(label)
-            q = _modularity_kernel(original, part.assignment)
-            reach = reach + split  # a new list: u's traversal keeps its own order
-        removals.append(((u, v), q))
-        if q > best_q:
-            best_partition, best_q = part, q
-        # only the component(s) that held the removed edge changed
-        _edge_dependencies(adjacency, index, sorted(reach), scores, traversals)
+    with block_pool(adjacency, block_scores, "Girvan-Newman") as run_round:
+        recompute(range(g.node_count))
+        for _ in ends:
+            # edges are numbered in (u, v) order: the first score tied with the maximum has the smallest pair
+            top = max(scores)
+            tied = top - top * _GN_TIE_REL
+            k = scores.index(next(filter(tied.__le__, scores)))
+            u, v = ends[k]
+            adjacency[u].remove(v)
+            adjacency[v].remove(u)
+            removed.append((u, v))
+            scores[k] = -math.inf
+            # these traversals are also the first sources a one-block recompute runs
+            traversals = {u: shortest_paths(adjacency, u)}
+            reach, dist = traversals[u][:2]
+            if dist[v] == math.inf:
+                # the removal split u's component: v's side becomes a new community
+                traversals[v] = shortest_paths(adjacency, v)
+                split = traversals[v][0]
+                label = list(part.assignment)
+                for w in split:
+                    label[w] = part.community_count
+                part = Partition.from_assignment(label)
+                q = _modularity_kernel(original, part.assignment)
+                reach = reach + split  # a new list: u's traversal keeps its own order
+            removals.append(((u, v), q))
+            if q > best_q:
+                best_partition, best_q = part, q
+            # only the component(s) that held the removed edge changed
+            recompute(sorted(reach), traversals)
     return GNTrace(tuple(removals), best_partition, best_q)
 
 

@@ -257,9 +257,10 @@ class PathSweep:
     component_count: int
 
 
-# Sources are swept in blocks of this many consecutive ids. The calling
-# process and each worker process hold one block's dependency vectors at a
-# time: 8 * SWEEP_BLOCK * N bytes, about 5 MB at N = 20,000.
+# Sources are run in blocks of this many consecutive ids, by the all-pairs
+# sweep and by Girvan-Newman's recomputes alike. The calling process and
+# each worker process hold one block's results at a time; for the sweep that
+# is 8 * SWEEP_BLOCK * N bytes of dependency vectors, about 5 MB at N = 20,000.
 SWEEP_BLOCK = 32
 
 
@@ -289,30 +290,26 @@ def _source_pass(adjacency, s: int):
     return (len(order) - 1, total, h, dist[order[-1]], min(order) == s), array("d", delta)
 
 
+def _block_passes(adjacency, block) -> list:
+    """The sweep's block result: each source's `_source_pass`, in source order."""
+    return [_source_pass(adjacency, s) for s in block]
+
+
 def sweep_all_pairs(adjacency) -> PathSweep:
     """Run `shortest_paths` from every source once and gather a PathSweep.
 
-    The sources are cut into blocks of SWEEP_BLOCK consecutive ids. Forked
-    processes, one per usable CPU and never more than blocks, run the
-    blocks' `_source_pass`es; one block, one CPU, another running thread
-    (forking then is unsafe) or a platform without `os.fork` keep them in
-    this process. Either way this process takes the blocks in order and
-    adds each node's dependency terms one by one in ascending source order,
-    in one loop, so the result is the same bit for bit.
+    The sources go through `block_pool` in one round, in blocks of
+    SWEEP_BLOCK consecutive ids. Whether the blocks' `_source_pass`es run in
+    forked workers or in this process, this process takes the blocks in
+    order and adds each node's dependency terms one by one in ascending
+    source order, in one loop, so the result is the same bit for bit.
     """
     n = len(adjacency)
-    blocks = [range(lo, min(lo + SWEEP_BLOCK, n)) for lo in range(0, n, SWEEP_BLOCK)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(blocks))
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        swept = _forked_blocks(adjacency, blocks, workers)
-    else:
-        swept = contextlib.nullcontext(lambda b: [_source_pass(adjacency, s) for s in blocks[b]])
     rows = []
     dependency = [0.0] * n
-    with swept as block_passes:
-        for b in range(len(blocks)):
-            for fields, delta in block_passes(b):
+    with block_pool(adjacency, _block_passes, "all-pairs sweep") as run_round:
+        for passes in run_round(range(n)):
+            for fields, delta in passes:
                 rows.append(fields)
                 dependency = list(map(add, dependency, delta))
     reach, totals, harmonic, eccentricity, roots = zip(*rows) if rows else ((),) * 5
@@ -320,54 +317,107 @@ def sweep_all_pairs(adjacency) -> PathSweep:
 
 
 @contextlib.contextmanager
-def _forked_blocks(adjacency, blocks, workers: int):
-    """Fork `workers` processes that run the blocks' `_source_pass`es; yield a reader of block b's results.
+def block_pool(adjacency, kernel, task: str):
+    """Yield `run_round(sources, removed=())`: `kernel(adjacency, block)` over each block of `sources`, in rounds.
 
-    Worker k runs blocks k, k + workers, ... and pickles each one to its own
-    pipe, which the reader takes block b from as pipe b % workers. A worker
-    waits on a full pipe until this process reads, so no worker runs far
-    ahead of the reader. Only worker k holds pipe k's write end, so a worker
-    that dies ends its pipe early, and the reader raises RuntimeError naming
-    the block that did not arrive. On any exception every worker still
-    running is killed and reaped.
+    A round cuts the ascending `sources` into blocks of SWEEP_BLOCK and
+    returns an iterator over the blocks' results in block order; it must be
+    read to its end before the next round starts. `removed` lists the edges
+    (u, v) the caller has deleted from `adjacency` since the last round.
+
+    Forked processes, one per usable CPU and never more than the blocks of
+    all the nodes, live until the `with` ends. Each holds its own copy of
+    `adjacency` and first deletes a round's `removed` edges from it. Worker
+    k runs blocks k, k + workers, ... of each round and pickles each result
+    to its own pipe, which the round reads block b from as pipe b % workers.
+    A worker waits on a full pipe until this process reads, so no worker
+    runs far ahead of the reader. One block, one CPU, another running
+    thread (forking then is unsafe) or a platform without `os.fork` keep
+    every round in this process, on `adjacency` itself.
+
+    Only worker k holds pipe k's write end, so a worker that dies ends its
+    pipe early, and the round raises RuntimeError naming `task` and the
+    block that did not arrive, or the worker when it died between rounds.
+    On any exception every worker is killed and reaped; otherwise each
+    reads the end of its round pipe and exits.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, -(-len(adjacency) // SWEEP_BLOCK))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield lambda sources, removed=(): (
+            kernel(adjacency, sources[lo : lo + SWEEP_BLOCK]) for lo in range(0, len(sources), SWEEP_BLOCK)
+        )
+        return
     readers = []
+    rounds: list[int] = []  # this process's write ends of the workers' round pipes
     pids: list[int] = []
+    finished = False
     try:
         for k in range(workers):
             r, w = os.pipe()
             readers.append(open(r, "rb"))
-            with open(w, "wb") as out:  # closes this process's write end once the worker holds its own
+            r, rounds_w = os.pipe()
+            rounds.append(rounds_w)
+            # closes this process's ends once the worker holds its own
+            with open(w, "wb") as out, open(r, "rb") as inbox:
                 pid = os.fork()
                 if pid == 0:  # the worker never returns from this branch
                     status = 1
                     try:
+                        # else a dead parent could leave this worker blocked on a pipe forever
                         for reader in readers:
-                            reader.close()  # else a full pipe would block this worker forever if the parent died
-                        for b in range(k, len(blocks), workers):
-                            pickle.dump([_source_pass(adjacency, s) for s in blocks[b]], out)
-                            out.flush()
+                            reader.close()
+                        for fd in rounds:
+                            os.close(fd)
+                        _serve_rounds(adjacency, kernel, k, workers, inbox, out)
                         status = 0
                     finally:
                         os._exit(status)  # no traceback, no atexit, no flush of the parent's buffers
             pids.append(pid)
 
-        def block_passes(b: int):
-            try:
-                return pickle.load(readers[b % workers])
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(
-                    f"all-pairs sweep: block {b} of {len(blocks)} did not arrive; its worker process failed"
-                ) from None
+        def run_round(sources, removed=()):
+            message = memoryview(pickle.dumps((removed, sources)))
+            for k, fd in enumerate(rounds):
+                try:
+                    sent = 0
+                    while sent < len(message):
+                        sent += os.write(fd, message[sent:])
+                except BrokenPipeError:
+                    raise RuntimeError(f"{task}: worker process {k} ended between rounds") from None
+            count = -(-len(sources) // SWEEP_BLOCK)
+            for b in range(count):
+                try:
+                    result = pickle.load(readers[b % workers])
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(
+                        f"{task}: block {b} of {count} did not arrive; its worker process failed"
+                    ) from None
+                yield result
 
-        yield block_passes
-        while pids:  # every block is read, so every worker is exiting
-            os.waitpid(pids[-1], 0)
-            pids.pop()
+        yield run_round
+        finished = True
     finally:
         for reader in readers:
             reader.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+        for fd in rounds:
+            os.close(fd)
+        if not finished:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
+
+
+def _serve_rounds(adjacency, kernel, k: int, workers: int, inbox, out) -> None:
+    """Worker k's loop: per round, delete the removed edges, then pickle blocks k, k + workers, ... to `out`."""
+    while True:
+        try:
+            removed, sources = pickle.load(inbox)
+        except EOFError:
+            return
+        for u, v in removed:
+            adjacency[u].remove(v)
+            adjacency[v].remove(u)
+        for lo in range(k * SWEEP_BLOCK, len(sources), workers * SWEEP_BLOCK):
+            pickle.dump(kernel(adjacency, sources[lo : lo + SWEEP_BLOCK]), out)
+            out.flush()

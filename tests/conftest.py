@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import signal
 
 import pytest
 
@@ -72,6 +74,41 @@ def pagerank_iterates(g, count: int) -> list[tuple[float, ...]]:
             mp.setattr(centrality_module, "PAGERANK_TOL", math.nextafter(exc.value.residual, math.inf))
             out.append(centrality_module.pagerank(g).scores)
     return out
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs `block_pool` may use; fails a test that hangs, or leaves a worker or an fd behind."""
+    fds_before = len(os.listdir("/proc/self/fd"))
+
+    def hung(signum, frame):
+        raise TimeoutError("the test hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield lambda count: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child process of this one is left, running or not reaped
+    assert len(os.listdir("/proc/self/fd")) == fds_before
+
+
+def recording_forks(monkeypatch) -> list[int]:
+    """Record in the returned list the pid of each child that `os.fork` makes in this process."""
+    fork = os.fork
+    forked: list[int] = []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
 
 
 @pytest.fixture

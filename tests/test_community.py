@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
+import signal
+import time
 from pathlib import Path
 
 import pytest
 
+import commgraph.community as community_module
+from commgraph.cli import main
 from commgraph.errors import PartitionMismatchError, UndefinedModularityError
 from commgraph.community import (
     AggregateGraph,
@@ -18,8 +24,10 @@ from commgraph.community import (
     partition_to_csv,
     _modularity_kernel,
 )
-from commgraph.graph import NodeRecord, Partition, collapse_edges, components
-from conftest import edge_betweenness, make_graph
+from commgraph.graph import SWEEP_BLOCK, Memo, NodeRecord, Partition, collapse_edges, components
+from commgraph.ingest import load_dataset
+from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
+from conftest import edge_betweenness, make_graph, recording_forks
 from oracles import (
     edge_betweenness_by_enumeration,
     girvan_newman_full_recompute,
@@ -137,8 +145,6 @@ def test_louvain_single_edge_merges():
 
 
 def test_louvain_ring_of_cliques_recovers_cliques():
-    from commgraph.synth import gen_ring_of_cliques
-
     g, truth = gen_ring_of_cliques(4, 5)
     dend = louvain(g)
     assert dend.final_partition == truth
@@ -194,8 +200,6 @@ def test_louvain_relabeling_gives_isomorphic_partition():
     # Sweep order follows node ids, so invariance under relabeling is only
     # guaranteed where the optimum is unambiguous; greedy moves may land in
     # different local optima on graphs with competing near-ties.
-    from commgraph.synth import gen_ring_of_cliques
-
     rng = random.Random(53)
     structured = [
         make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
@@ -218,8 +222,6 @@ def test_louvain_relabeling_gives_isomorphic_partition():
 
 
 def test_louvain_recovers_planted_partition():
-    from commgraph.synth import gen_planted_partition
-
     g, truth = gen_planted_partition(4, 32, 0.3, 0.01, seed=42)
     dend = louvain(g)
     result = compare_partitions(dend.final_partition, truth)
@@ -296,11 +298,14 @@ def _cycle(n, base=0):
 
 
 def _gn_differential_graphs():
-    """Tie-heavy shapes, disconnected unions with isolates, and random graphs."""
-    from commgraph.synth import gen_ring_of_cliques
+    """Tie-heavy shapes, disconnected unions with isolates, and random graphs.
 
+    A ring of six 6-cliques and a planted partition of 40 nodes have more
+    than one block of sources, so their recomputes add block sums.
+    """
     graphs = [_numbered_graph(n, _cycle(n)) for n in (4, 6, 8, 10, 12)]
-    graphs += [gen_ring_of_cliques(k, s)[0] for k, s in ((3, 3), (4, 4), (5, 3), (3, 5))]
+    graphs += [gen_ring_of_cliques(k, s)[0] for k, s in ((3, 3), (4, 4), (5, 3), (3, 5), (6, 6))]
+    graphs.append(gen_planted_partition(2, 20, 0.3, 0.05, seed=2)[0])
     graphs.append(_numbered_graph(14, _cycle(6) + _cycle(4, base=6)))  # plus 4 isolates
     graphs.append(_numbered_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3
     graphs.append(_numbered_graph(8, [(a, a ^ bit) for a in range(8) for bit in (1, 2, 4) if a < a ^ bit]))  # 3-cube
@@ -316,8 +321,10 @@ def _gn_differential_graphs():
 
 def test_girvan_newman_matches_full_recompute():
     # the component-local recompute must give the full recompute's trace, ties and floats included
+    # (the same tie rule on both sides), block sums included
     graphs = _gn_differential_graphs()
     assert sum(components(g.neighbor_ids).community_count > 1 for g in graphs) >= 20
+    assert sum(g.node_count > SWEEP_BLOCK for g in graphs) >= 2
     for g in graphs:
         assert girvan_newman(g) == girvan_newman_full_recompute(g)
 
@@ -343,36 +350,194 @@ def _component_of(adjacency, s):
     return seen
 
 
-def test_girvan_newman_work_is_pinned(monkeypatch):
-    # labels components once, evaluates Q once plus once per split, and runs
-    # one BFS per recomputed source: the reach BFS from u (and from v on a
-    # split) is the first of them
-    import commgraph.community as community_module
-    from commgraph.synth import gen_planted_partition
+def test_girvan_newman_work_is_pinned(cpus):
+    # on one CPU every BFS runs in this process. GN labels components once,
+    # evaluates Q once plus once per split, and runs one BFS per recomputed
+    # source. In a recompute of one block the reach BFS from u (and from v on
+    # a split) is the first of them; a recompute of more blocks runs every
+    # source afresh, after the reach BFS. The graphs have one and two blocks
+    cpus(1)
+    for planted in ((3, 10, 0.3, 0.02, 5), (2, 20, 0.3, 0.05, 2)):
+        g, _ = gen_planted_partition(*planted[:4], seed=planted[4])
+        oracle = girvan_newman_full_recompute(g)
+        adjacency = [set(nbrs) for nbrs in g.neighbor_ids]
+        splits, bfs, blocked = 0, g.node_count, 0
+        for (u, v), _ in oracle.removals:
+            adjacency[u].remove(v)
+            adjacency[v].remove(u)
+            side = _component_of(adjacency, u)
+            if v in side:
+                reach, sources = 1, len(side)
+            else:
+                splits += 1
+                reach, sources = 2, len(side) + len(_component_of(adjacency, v))
+            if sources > SWEEP_BLOCK:
+                blocked += 1
+                bfs += reach
+            bfs += sources
+        assert splits == g.node_count - 1  # the planted graph is connected
+        assert (blocked > 0) == (g.node_count > SWEEP_BLOCK)
 
-    g, _ = gen_planted_partition(3, 10, 0.3, 0.02, seed=5)
-    oracle = girvan_newman_full_recompute(g)
-    adjacency = [set(nbrs) for nbrs in g.neighbor_ids]
-    splits, bfs = 0, g.node_count
-    for (u, v), _ in oracle.removals:
-        adjacency[u].remove(v)
-        adjacency[v].remove(u)
-        side = _component_of(adjacency, u)
-        if v in side:
-            bfs += len(side)
-        else:
-            splits += 1
-            bfs += len(side) + len(_component_of(adjacency, v))
-    assert splits == g.node_count - 1  # the planted graph is connected
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_calls(mp, community_module, ["components", "_modularity_kernel", "shortest_paths"])
+            assert girvan_newman(g) == oracle
+        assert counts == {"components": 1, "_modularity_kernel": 1 + splits, "shortest_paths": bfs}
 
-    counts = _count_calls(monkeypatch, community_module, ["components", "_modularity_kernel", "shortest_paths"])
-    assert girvan_newman(g) == oracle
-    assert counts == {"components": 1, "_modularity_kernel": 1 + splits, "shortest_paths": bfs}
+
+# -------------------------------------------- girvan-newman process count
+
+SAMPLE_EDGES = Path(__file__).resolve().parent.parent / "data" / "sample" / "edges.csv"
+
+
+def _interleaved_components():
+    """Two 40-node components on the even and the odd ids below 80, then a 10-cycle and 5 isolates.
+
+    Each component's sources lie in all three blocks of ids, and every
+    recompute of a whole component cuts them into two blocks of its own.
+    """
+    rng = random.Random(15)
+    pairs = _cycle(10, base=80)
+    for members in (list(range(0, 80, 2)), list(range(1, 80, 2))):
+        pairs += [(members[i], members[(i + 1) % 40]) for i in range(40)]
+        pairs += [tuple(rng.sample(members, 2)) for _ in range(30)]
+    return _numbered_graph(95, pairs)
+
+
+GN_GRAPHS = {
+    "one block": lambda: gen_ring_of_cliques(4, SWEEP_BLOCK // 4)[0],
+    "two blocks": lambda: gen_ring_of_cliques(5, 8)[0],
+    "components straddling blocks": _interleaved_components,
+    "data/sample": lambda: load_dataset(SAMPLE_EDGES)[0],
+    "planted N = 120": lambda: gen_planted_partition(4, 30, 0.2, 0.01, seed=1)[0],
+}
+
+
+@pytest.fixture(scope="module")
+def gn_on_one_cpu():
+    """GN's trace of each graph in GN_GRAPHS, run in one process once per module."""
+
+    def trace(name):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return girvan_newman(GN_GRAPHS[name]())
+
+    return Memo(trace)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("name", list(GN_GRAPHS))
+def test_girvan_newman_is_identical_with_any_process_count(cpus, monkeypatch, gn_on_one_cpu, name, count):
+    want = gn_on_one_cpu[name]
+    g = GN_GRAPHS[name]()
+    forks = recording_forks(monkeypatch)
+    cpus(count)
+    assert girvan_newman(g) == want
+    # one pool for the whole run, never one fork per removal
+    blocks = -(-g.node_count // SWEEP_BLOCK)
+    assert len(forks) == (min(count, blocks) if count > 1 and blocks > 1 else 0)
+
+
+def _failing_in_workers_after_a_removal(monkeypatch, g) -> None:
+    """GN's kernel raises in a worker process once the worker has deleted an edge, so the first round succeeds."""
+    kernel = community_module.shortest_paths
+    parent, arcs = os.getpid(), 2 * g.edge_count
+
+    def kernel_failing_later(adjacency, s):
+        if os.getpid() != parent and sum(map(len, adjacency)) < arcs:
+            raise ValueError("kernel failed")
+        return kernel(adjacency, s)
+
+    monkeypatch.setattr(community_module, "shortest_paths", kernel_failing_later)
+
+
+def test_a_worker_failing_in_a_later_round_makes_girvan_newman_raise(cpus, monkeypatch):
+    g = load_dataset(SAMPLE_EDGES)[0]
+    _failing_in_workers_after_a_removal(monkeypatch, g)
+    load = pickle.load
+    arrived = []
+
+    def counting_load(file):
+        result = load(file)
+        arrived.append(1)  # in this process, a block that arrived
+        return result
+
+    monkeypatch.setattr(pickle, "load", counting_load)
+    cpus(2)
+    with pytest.raises(RuntimeError, match=r"^Girvan-Newman: block 0 of 2 did not arrive; its worker process failed$"):
+        girvan_newman(g)
+    assert len(arrived) == 2  # both blocks of the first round
+
+
+def test_a_worker_failing_in_a_later_round_makes_main_exit_2(cpus, monkeypatch, capsys, tmp_path):
+    _failing_in_workers_after_a_removal(monkeypatch, load_dataset(SAMPLE_EDGES)[0])
+    cpus(2)
+    argv = ["communities", "--edges", str(SAMPLE_EDGES), "--out", str(tmp_path / "p.csv")]
+    assert main([*argv, "--gn-out", str(tmp_path / "gn.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("commgraph: internal error: Girvan-Newman: block 0 of 2 did not arrive")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_worker_gone_between_rounds_makes_girvan_newman_raise(cpus, monkeypatch):
+    # as when Linux's out-of-memory killer ends an idle worker: the next
+    # round's message finds its pipe closed
+    dumps = pickle.dumps
+    messages = []
+
+    def killing_worker_0_before_round_2(obj):
+        messages.append(obj)
+        if len(messages) == 2:
+            os.kill(forked[0], signal.SIGKILL)
+            stat = Path(f"/proc/{forked[0]}/stat")
+            while stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":  # dead, its pipes closed, not yet reaped
+                time.sleep(0.01)
+        return dumps(obj)
+
+    forked = recording_forks(monkeypatch)
+    monkeypatch.setattr(pickle, "dumps", killing_worker_0_before_round_2)
+    cpus(2)
+    with pytest.raises(RuntimeError, match=r"^Girvan-Newman: worker process 0 ended between rounds$"):
+        girvan_newman(load_dataset(SAMPLE_EDGES)[0])
+    assert len(messages) == 2
+
+
+def test_an_interrupted_girvan_newman_kills_and_reaps_its_workers(cpus, monkeypatch):
+    load = pickle.load
+    parent = os.getpid()
+    reads = []
+
+    def interrupted_in_second_round(file):
+        if os.getpid() == parent:
+            reads.append(file)
+            if len(reads) == 3:
+                raise KeyboardInterrupt  # as Ctrl-C would, while this process waits for round 2's first block
+        return load(file)
+
+    kill, waitpid = os.kill, os.waitpid
+    killed, reaped = [], []
+
+    def recording_kill(pid, signum):
+        killed.append((pid, signum))
+        kill(pid, signum)
+
+    def recording_waitpid(pid, options):
+        reaped.append(pid)
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(pickle, "load", interrupted_in_second_round)
+    forked = recording_forks(monkeypatch)
+    monkeypatch.setattr(os, "kill", recording_kill)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    cpus(3)
+    with pytest.raises(KeyboardInterrupt):
+        girvan_newman(GN_GRAPHS["planted N = 120"]())
+    assert len(reads) == 3 and len(forked) == 3
+    assert killed == [(pid, signal.SIGKILL) for pid in forked]
+    assert reaped == forked
 
 
 def test_louvain_evaluates_no_q_for_a_level_that_moved_nothing(monkeypatch):
-    import commgraph.community as community_module
-    from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
 
     counts = _count_calls(monkeypatch, community_module, ["_modularity_kernel"])
     for g in (gen_ring_of_cliques(6, 4)[0], gen_planted_partition(3, 10, 0.3, 0.02, seed=5)[0]):
@@ -392,8 +557,6 @@ def _weighted_numbered_graph(n, pairs, weights):
 def _louvain_differential_graphs():
     """Regular graphs and rings of cliques (tie-heavy), disconnected unions with
     isolates, and random graphs, under integer, tenth and third weights."""
-    from commgraph.synth import gen_ring_of_cliques
-
     def ring(k, s):
         return [(u, v) for u, v, _ in gen_ring_of_cliques(k, s)[0].edges()]
 

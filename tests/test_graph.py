@@ -25,7 +25,7 @@ from commgraph.graph import (
 )
 from commgraph.ingest import load_dataset
 from commgraph.synth import gen_planted_partition
-from conftest import make_graph
+from conftest import make_graph, recording_forks
 from oracles import all_simple_paths, floyd_warshall, random_graph, sweep_all_pairs_reference
 
 INF = math.inf
@@ -252,26 +252,6 @@ SWEEP_GRAPHS = {
 }
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Sets how many CPUs the sweep may use; fails a test that hangs, or leaves a worker or an fd behind."""
-    fds_before = len(os.listdir("/proc/self/fd"))
-
-    def hung(signum, frame):
-        raise TimeoutError("the sweep hung")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        yield lambda count: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)  # no child process of this one is left, running or not reaped
-    assert len(os.listdir("/proc/self/fd")) == fds_before
-
-
 def failing_at(monkeypatch, source: int, exc: BaseException) -> None:
     kernel = graph_module.shortest_paths
 
@@ -287,14 +267,7 @@ def failing_at(monkeypatch, source: int, exc: BaseException) -> None:
 @pytest.mark.parametrize("name", list(SWEEP_GRAPHS))
 def test_sweep_is_bit_identical_with_any_process_count(cpus, monkeypatch, name, count):
     adjacency = SWEEP_GRAPHS[name]().neighbor_ids
-    fork = os.fork
-    forks = []
-
-    def counting_fork():
-        forks.append(1)  # in the parent; a worker adds to its own copy
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = recording_forks(monkeypatch)
     cpus(count)
     got = sweep_all_pairs(adjacency)
     want = sweep_all_pairs_reference(adjacency)
