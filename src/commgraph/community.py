@@ -250,15 +250,15 @@ def _edge_dependencies(adjacency, index, sources, scores, traversals=None) -> No
     `scores` is indexed by edge number (`_edge_index`). An edge only gains
     dependency from sources in its own component. `traversals` maps a
     source to the `shortest_paths` result the caller already has for it on
-    this adjacency; its `order` list is consumed.
+    this adjacency; it is only read, walking `order` backwards as the
+    sweep's `_source_pass` does.
     """
     n = len(adjacency)
     traversals = traversals or {}
     for s in sources:
         order, _, sigma, preds = traversals.get(s) or shortest_paths(adjacency, s)
         delta = [0.0] * n
-        while order:
-            w = order.pop()
+        for w in reversed(order):
             coeff = (1 + delta[w]) / sigma[w]
             edge = index[w]
             for v in preds[w]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import math
 import os
 import pickle
@@ -197,17 +198,20 @@ def collapse_edges(records, edges) -> tuple[Graph, int, int]:
     return Graph(records, adjacency, len(weights)), duplicates, self_loops
 
 
-def shortest_paths(adjacency, source: int) -> tuple[list[int], list[float], list[int], list[list[int]]]:
+def shortest_paths(adjacency, source: int) -> tuple[list[int], list[float], list[int], list]:
     """Single-source BFS over int neighbor lists: the one hop-distance kernel.
 
     Returns (order, dist, sigma, preds) as Brandes (2001) uses them: nodes in
     visit order, hop distances (math.inf when unreachable), shortest-path
     counts, and each node's shortest-path predecessors in discovery order.
+    A node gets its own predecessor list when it is first reached; the
+    source and the unreached nodes share one empty tuple, so a BFS makes one
+    list per node it reaches rather than per node of the graph.
     """
     n = len(adjacency)
     dist = [INF] * n
     sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
+    preds: list = [()] * n
     dist[source] = 0
     sigma[source] = 1
     order = [source]
@@ -218,7 +222,7 @@ def shortest_paths(adjacency, source: int) -> tuple[list[int], list[float], list
             if not sigma[v]:  # unvisited; an int test is cheaper than dist[v] == INF
                 dist[v] = step
                 sigma[v] = paths
-                preds[v].append(u)
+                preds[v] = [u]
                 order.append(v)
             elif dist[v] == step:
                 sigma[v] += paths
@@ -335,6 +339,12 @@ def block_pool(adjacency, kernel, task: str):
     thread (forking then is unsafe) or a platform without `os.fork` keep
     every round in this process, on `adjacency` itself.
 
+    Workers run without the cyclic garbage collector. A kernel makes lists
+    by the thousand per source, which would set the collector off about
+    once per source, and none of them is part of a cycle: reference
+    counting frees them all. A worker exits when the pool ends. This
+    process keeps its collector as it was.
+
     Only worker k holds pipe k's write end, so a worker that dies ends its
     pipe early, and the round raises RuntimeError naming `task` and the
     block that did not arrive, or the worker when it died between rounds.
@@ -369,6 +379,7 @@ def block_pool(adjacency, kernel, task: str):
                             reader.close()
                         for fd in rounds:
                             os.close(fd)
+                        gc.disable()  # see the docstring
                         _serve_rounds(adjacency, kernel, k, workers, inbox, out)
                         status = 0
                     finally:

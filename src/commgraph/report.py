@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -107,42 +106,60 @@ def _node_rows(g: Graph, partition: Partition | None, scores):
         yield v, row
 
 
+def _weight_text(w: float) -> str:
+    """An edge weight as the GEXF and DOT exports write it."""
+    return format(w, "g")
+
+
+def _xml_attr(text: str) -> str:
+    """`text` escaped as ElementTree escapes an attribute value."""
+    return (
+        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+        .replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
+    )
+
+
+def _xml_block(lines: list, indent: str, tag: str, children: list) -> None:
+    """Append `<tag>` holding `children`, or `<tag />` without any, as ElementTree indents them."""
+    if children:
+        lines += [f"{indent}<{tag}>", *children, f"{indent}</{tag}>"]
+    else:
+        lines.append(f"{indent}<{tag} />")
+
+
 def export_gexf(g: Graph, partition: Partition | None = None, scores=None) -> str:
-    root = ET.Element("gexf", {"xmlns": GEXF_NS, "version": "1.2"})
-    graph_el = ET.SubElement(root, "graph", {"mode": "static", "defaultedgetype": "undirected"})
-    attrs = ["kind", "location"]
-    types = {"kind": "string", "location": "string", "community": "long"}
+    """GEXF 1.2 text, written line by line in the bytes that ElementTree's `indent` and `tostring` give."""
+    attrs = [("kind", "string"), ("location", "string")]
     if partition is not None:
-        attrs.append("community")
+        attrs.append(("community", "long"))
     if scores:
-        for vec in scores:
-            attrs.append(vec.measure)
-            types[vec.measure] = "double"
-    attr_el = ET.SubElement(graph_el, "attributes", {"class": "node"})
-    ids = {}
-    for i, name in enumerate(attrs):
-        ids[name] = str(i)
-        ET.SubElement(attr_el, "attribute", {"id": str(i), "title": name, "type": types[name]})
-    nodes_el = ET.SubElement(graph_el, "nodes")
+        attrs += [(vec.measure, "double") for vec in scores]
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<gexf xmlns="{GEXF_NS}" version="1.2">',
+        '  <graph mode="static" defaultedgetype="undirected">',
+        '    <attributes class="node">',
+        *(f'      <attribute id="{i}" title="{name}" type="{kind}" />' for i, (name, kind) in enumerate(attrs)),
+        "    </attributes>",
+    ]
+    nodes: list[str] = []
     for v, row in _node_rows(g, partition, scores):
-        node_el = ET.SubElement(nodes_el, "node", {"id": str(v), "label": row["label"]})
-        values_el = ET.SubElement(node_el, "attvalues")
-        for name in attrs:
+        nodes.append(f'      <node id="{v}" label="{_xml_attr(row["label"])}">')
+        values = []
+        for i, (name, _) in enumerate(attrs):
             value = row.get(name)
-            if value is None:
-                continue
-            if isinstance(value, float):
-                value = repr(value)
-            ET.SubElement(values_el, "attvalue", {"for": ids[name], "value": str(value)})
-    edges_el = ET.SubElement(graph_el, "edges")
-    for i, (u, v, w) in enumerate(g.edges()):
-        ET.SubElement(
-            edges_el,
-            "edge",
-            {"id": str(i), "source": str(u), "target": str(v), "weight": format(w, "g")},
-        )
-    ET.indent(root)
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
+            if value is not None:  # str of a float is its repr
+                values.append(f'          <attvalue for="{i}" value="{_xml_attr(str(value))}" />')
+        _xml_block(nodes, "        ", "attvalues", values)
+        nodes.append("      </node>")
+    _xml_block(lines, "    ", "nodes", nodes)
+    edges = [
+        f'      <edge id="{i}" source="{u}" target="{v}" weight="{_weight_text(w)}" />'
+        for i, (u, v, w) in enumerate(g.edges())
+    ]
+    _xml_block(lines, "    ", "edges", edges)
+    lines += ["  </graph>", "</gexf>"]
+    return "\n".join(lines) + "\n"
 
 
 def export_dot(g: Graph, partition: Partition | None = None, scores=None) -> str:
@@ -159,7 +176,7 @@ def export_dot(g: Graph, partition: Partition | None = None, scores=None) -> str
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {quote(g.labels[v])}{suffix};")
     for u, v, w in g.edges():
-        weight = f" [weight={format(w, 'g')}]" if w != 1.0 else ""
+        weight = f" [weight={_weight_text(w)}]" if w != 1.0 else ""
         lines.append(f"  {quote(g.labels[u])} -- {quote(g.labels[v])}{weight};")
     lines.append("}")
     return "\n".join(lines) + "\n"

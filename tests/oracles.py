@@ -10,7 +10,9 @@ two-stage ingest that lists every row before resolving any label, and
 `sweep_all_pairs_reference`, the one-process all-pairs loop; they are the
 references for the component-local recompute and the cached sweep in
 `commgraph.community`, for the one-pass `commgraph.ingest.load_dataset` and
-for the block-folded `commgraph.graph.sweep_all_pairs`.
+for the block-folded `commgraph.graph.sweep_all_pairs`. `export_gexf_reference`
+builds the GEXF as an ElementTree, the reference for the line-by-line
+`commgraph.report.export_gexf`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import io
 import itertools
 import math
 import random
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -515,3 +518,47 @@ def load_dataset_reference(edge_path, node_path=None, alias_path=None) -> tuple[
         nbrs[v].append((u, w))
     log.labels_merged = sorted(merged)
     return Graph(ordered, tuple(tuple(sorted(lst)) for lst in nbrs), len(weights)), log
+
+
+def export_gexf_reference(g: Graph, partition: Partition | None = None, scores=None) -> str:
+    """The GEXF export built as an ElementTree, indented and serialized by the standard library."""
+    root = ET.Element("gexf", {"xmlns": "http://www.gexf.net/1.2draft", "version": "1.2"})
+    graph_el = ET.SubElement(root, "graph", {"mode": "static", "defaultedgetype": "undirected"})
+    attrs = ["kind", "location"]
+    types = {"kind": "string", "location": "string", "community": "long"}
+    if partition is not None:
+        attrs.append("community")
+    if scores:
+        for vec in scores:
+            attrs.append(vec.measure)
+            types[vec.measure] = "double"
+    attr_el = ET.SubElement(graph_el, "attributes", {"class": "node"})
+    ids = {}
+    for i, name in enumerate(attrs):
+        ids[name] = str(i)
+        ET.SubElement(attr_el, "attribute", {"id": str(i), "title": name, "type": types[name]})
+    nodes_el = ET.SubElement(graph_el, "nodes")
+    for v, rec in enumerate(g.records):
+        row = {"kind": rec.kind, "location": rec.location}
+        if partition is not None:
+            row["community"] = partition.assignment[v]
+        for vec in scores or ():
+            row[vec.measure] = vec.scores[v]
+        node_el = ET.SubElement(nodes_el, "node", {"id": str(v), "label": rec.label})
+        values_el = ET.SubElement(node_el, "attvalues")
+        for name in attrs:
+            value = row.get(name)
+            if value is None:
+                continue
+            if isinstance(value, float):
+                value = repr(value)
+            ET.SubElement(values_el, "attvalue", {"for": ids[name], "value": str(value)})
+    edges_el = ET.SubElement(graph_el, "edges")
+    for i, (u, v, w) in enumerate(g.edges()):
+        ET.SubElement(
+            edges_el,
+            "edge",
+            {"id": str(i), "source": str(u), "target": str(v), "weight": format(w, "g")},
+        )
+    ET.indent(root)
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"

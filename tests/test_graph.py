@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import os
 import pickle
@@ -173,7 +174,9 @@ def test_shortest_paths_matches_oracles():
                 shortest = [p for p in all_simple_paths(g, s, t) if len(p) - 1 == dist[t]]
                 assert sigma[t] == len(shortest)
                 assert set(preds[t]) == {p[-2] for p in shortest if len(p) > 1}
-                assert preds[t] == sorted(preds[t], key=position.get)  # discovery order
+                assert list(preds[t]) == sorted(preds[t], key=position.get)  # discovery order
+            # only a reached node other than the source gets a list of its own; the rest share ()
+            assert [t for t in range(n) if isinstance(preds[t], list)] == sorted(order[1:])
 
 
 def test_components_triangle():
@@ -275,6 +278,28 @@ def test_sweep_is_bit_identical_with_any_process_count(cpus, monkeypatch, name, 
     assert [x.hex() for x in got.dependency + got.harmonic] == [x.hex() for x in want.dependency + want.harmonic]
     blocks = -(-len(adjacency) // SWEEP_BLOCK)
     assert len(forks) == (min(count, blocks) if count > 1 and blocks > 1 else 0)
+
+
+def collector_state(adjacency, block) -> bool:
+    return gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_pool_workers_run_without_the_cyclic_collector(cpus, count, enabled):
+    adjacency = SWEEP_GRAPHS["planted partition"]().neighbor_ids  # four blocks
+    cpus(count)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with graph_module.block_pool(adjacency, collector_state, "collector probe") as run_round:
+            states = list(run_round(range(len(adjacency))))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    # forked workers switch it off; on one CPU the blocks run here, under this process's setting
+    assert states == [enabled and count == 1] * 4
+    assert after is enabled
 
 
 def test_a_graph_of_one_block_never_forks(cpus, monkeypatch):

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import csv
 import json
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from commgraph.centrality import CentralityVector, all_centralities
+from commgraph.centrality import MEASURES, CentralityVector, all_centralities
 from commgraph.cli import build_parser, main
 from commgraph.community import louvain
 from commgraph.errors import CommGraphError
 from commgraph.graph import Partition
-from commgraph.ingest import edges_to_csv
+from commgraph.ingest import edges_to_csv, load_dataset
 from commgraph.report import (
     GEXF_NS,
     export_dot,
@@ -24,6 +26,7 @@ from commgraph.report import (
 )
 from commgraph.synth import gen_ring_of_cliques
 from conftest import import_graph_json, make_graph
+from oracles import export_gexf_reference
 
 
 def vec(*scores):
@@ -120,6 +123,60 @@ def test_gexf_each_node_and_edge_once(barbell):
     assert sorted(node_ids) == sorted(str(i) for i in range(6))
     edges = root.findall(f".//{{{GEXF_NS}}}edge")
     assert len(edges) == barbell.edge_count
+
+
+def test_gexf_of_a_graph_whose_every_edge_row_is_rejected(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target\nA,\n,B\n", encoding="utf-8")
+    out = tmp_path / "graph.gexf"
+    assert main(["export", "--edges", str(edges), "--format", "gexf", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == export_gexf_reference(load_dataset(edges)[0])
+    assert "    <nodes />\n    <edges />\n" in text
+    ET.fromstring(text)
+
+
+def collab_shaped_files(directory, nodes: int, seed: int):
+    """Edge, node and alias CSVs shaped like the benchmark's collab inputs: blocks of 100, 4 rows per node.
+
+    Weights are integers 1-5 or quarters, labels and locations carry & and
+    quotes, some rows spell a label in upper case, every 50th node has an
+    alias, and some locations and scores are blank.
+    """
+    rng = random.Random(seed)
+    kinds = ("public", "medical", "technical", "other")
+    cities = ("Lyon", "Porto", "S\u00e3o Paulo", "Graz & Linz", 'T\u00fcrku "Old"', "")
+    labels = [f"Agency {i}" if i % 7 else f'R&D "Lab" {i}' for i in range(nodes)]
+    rows = []
+    for _ in range(4 * nodes):
+        u = rng.randrange(nodes)
+        v = u - u % 100 + rng.randrange(min(100, nodes - u + u % 100)) if rng.random() < 0.9 else rng.randrange(nodes)
+        weight = str(rng.randint(1, 5)) if rng.random() < 0.8 else str(rng.randint(1, 20) / 4)
+        rows.append([labels[u] if rng.random() < 0.9 else labels[u].upper(), labels[v], weight])
+    node_rows = [
+        [lab, rng.choice(kinds), rng.choice(cities), "" if rng.random() < 0.1 else f"{rng.uniform(0, 100):.2f}"]
+        for lab in labels
+    ]
+    files = {name: directory / f"{name}.csv" for name in ("edges", "nodes", "aliases")}
+    for name, header, body in (
+        ("edges", ["source", "target", "weight"], rows),
+        ("nodes", ["label", "kind", "location", "score"], node_rows),
+        ("aliases", ["variant", "canonical"], [[f"AG-{i}", labels[i]] for i in range(0, nodes, 50)]),
+    ):
+        with files[name].open("w", encoding="utf-8", newline="") as f:
+            csv.writer(f).writerows([header, *body])
+    return files
+
+
+def test_gexf_of_a_collab_shaped_graph_matches_the_element_tree_reference(tmp_path):
+    files = collab_shaped_files(tmp_path, 2000, seed=17)
+    g, _ = load_dataset(files["edges"], files["nodes"], files["aliases"])
+    assert g.node_count == 2000 and g.edge_count > 7000
+    rng = random.Random(17)
+    scores = [CentralityVector(m, tuple(rng.random() for _ in range(g.node_count))) for m in MEASURES]
+    partition = louvain(g).final_partition
+    for args in ((), (partition,), (partition, scores)):
+        assert export_gexf(g, *args) == export_gexf_reference(g, *args)
 
 
 def test_json_round_trip(barbell):
