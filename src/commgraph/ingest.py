@@ -24,7 +24,6 @@ import io
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,15 +45,23 @@ class RawEdgeRow(NamedTuple):
     line_no: int
 
 
-@dataclass
 class CleaningLog:
-    """Every cleaning event observed between raw bytes and the finished graph."""
+    """Every cleaning event observed between raw bytes and the finished graph.
 
-    duplicates_collapsed: int = 0
-    self_loops_dropped: int = 0
-    labels_merged: list[tuple[str, str]] = field(default_factory=list)
-    rows_rejected: list[tuple[int, str]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    Built empty and filled in place by ingest; its attributes are exactly
+    the report's `cleaning` fields, and two logs are equal when they hold
+    the same events.
+    """
+
+    def __init__(self):
+        self.duplicates_collapsed = 0
+        self.self_loops_dropped = 0
+        self.labels_merged: list[tuple[str, str]] = []
+        self.rows_rejected: list[tuple[int, str]] = []
+        self.warnings: list[str] = []
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if isinstance(other, CleaningLog) else NotImplemented
 
 
 # header specs: (the header as documented, a test of the stripped, case-folded header)

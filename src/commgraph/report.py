@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, rank_top_k
 from .community import Dendrogram, GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
-from .errors import DegenerateGraphError, UndefinedModularityError
+from .errors import DegenerateGraphError, UndefinedModularityError, warn
 from .graph import Graph, Partition, left_sum
 from .ingest import CleaningLog, load_dataset
 from .metrics import MetricsReport, global_metrics
-
-logger = logging.getLogger(__name__)
 
 EXPORT_FORMATS = ("gexf", "dot", "json")
 STAGES = ("centralities", "louvain", "gn", "report")
@@ -67,7 +64,7 @@ def pearson_correlation_matrix(vectors: list[CentralityVector], spearman: bool =
     """Symmetric correlation matrix over vectors of one length; zero-variance pairs yield None entries.
 
     With `spearman` it is Pearson's over average ranks. The null pairs off
-    the diagonal are logged as one warning naming their count and the first.
+    the diagonal make one stderr warning naming their count and the first.
     """
     data = [list(v.scores) for v in vectors]
     if spearman:
@@ -83,10 +80,9 @@ def pearson_correlation_matrix(vectors: list[CentralityVector], spearman: bool =
             matrix[i][j] = r
             matrix[j][i] = r
     if nulls:
-        logger.warning(
-            "commgraph: warning: zero variance in %d correlation pairs, reported as null (first: %s)",
-            len(nulls),
-            nulls[0],
+        warn(
+            f"commgraph: warning: zero variance in {len(nulls)} correlation pairs, reported as null"
+            f" (first: {nulls[0]})"
         )
     return matrix
 
@@ -202,8 +198,7 @@ def export_graph(g: Graph, partition: Partition | None = None, scores=None, fmt:
 # --------------------------------------------------------------- pipeline
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """What `run_pipeline` computed; each field of a stage it did not run is None."""
 
     graph: Graph
@@ -246,7 +241,7 @@ def run_pipeline(
     "report" (global metrics, correlation, top-k and the input digest; it
     needs the first two). They run in one fixed order, whatever the order
     given. Once ingest is done, rejected edge rows and unknown node kinds
-    are logged, one warning line each; then a graph too small for the
+    go to stderr, one warning line each; then a graph too small for the
     stages is refused before any of them runs (DegenerateGraphError or
     UndefinedModularityError), and the stages do not check again.
     Metrics and centralities read hop distances only; community detection
@@ -259,14 +254,14 @@ def run_pipeline(
     loaded, cleaning = load_dataset(edge_path, node_path, alias_path)
     if cleaning.rows_rejected:
         line_no, reason = cleaning.rows_rejected[0]
-        logger.warning(
-            "commgraph: warning: %s: %d rows rejected (first: line %d: %s)",
-            edge_path, len(cleaning.rows_rejected), line_no, reason,
+        warn(
+            f"commgraph: warning: {edge_path}: {len(cleaning.rows_rejected)} rows rejected"
+            f" (first: line {line_no}: {reason})"
         )
     if cleaning.warnings:
-        logger.warning(
-            "commgraph: warning: %s: %d cleaning warnings (first: %s)",
-            node_path, len(cleaning.warnings), cleaning.warnings[0],
+        warn(
+            f"commgraph: warning: {node_path}: {len(cleaning.warnings)} cleaning warnings"
+            f" (first: {cleaning.warnings[0]})"
         )
     reporting = "report" in stages
     detecting = "louvain" in stages or "gn" in stages
@@ -318,7 +313,7 @@ def report_to_json(report: AnalysisReport) -> str:
     ]
     partition = report.dendrogram.final_partition
     payload = {
-        "metrics": asdict(report.metrics),
+        "metrics": report.metrics._asdict(),
         "centrality": {
             "table": table,
             "top_k": {m: [[lab, s] for lab, s in report.top_k[m]] for m in MEASURES},
@@ -335,7 +330,7 @@ def report_to_json(report: AnalysisReport) -> str:
             "method": "spearman" if report.flags["spearman"] else "pearson",
             "matrix": report.correlation,
         },
-        "cleaning": asdict(report.cleaning),
+        "cleaning": vars(report.cleaning),
         "meta": {
             "tool_version": __version__,
             "input_digest": report.input_digest,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shlex
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from commgraph import report
 from commgraph.cli import main
 from conftest import import_graph_json
 
@@ -284,11 +286,11 @@ def test_export_with_analytics_carries_community(ring_dir, capsys):
     [["communities"], ["export", "--format", "json"], ["centrality"], ["analyze", "--out", "out"]],
     ids=["communities", "export", "centrality", "analyze"],
 )
-def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, monkeypatch, capsys, caplog):
-    # the line is a library warning, which reaches stderr through logging's
-    # last-resort handler; pytest's log capture takes it over in process, and
-    # the closeness test below checks the real stderr in a subprocess. Unknown
-    # node kinds, which used to reach only report.json, follow on a line of their own.
+def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, monkeypatch, capsys):
+    # the line is a library warning, written to the `sys.stderr` of the moment,
+    # which capsys holds in process; the closeness test below checks the real
+    # stderr in a subprocess. Unknown node kinds, which used to reach only
+    # report.json, follow on a line of their own.
     monkeypatch.chdir(tmp_path)
     dirty = tmp_path / "dirty.csv"
     dirty.write_bytes(b"source,target\nA\x01x,B\nC,D\nE\n")
@@ -299,16 +301,14 @@ def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, monkeypatch, cap
     odd_nodes = tmp_path / "odd_nodes.csv"  # both kinds fall back to `other`: the same graph
     odd_nodes.write_bytes(b"label,kind\nC,alien\nD,Martian\n")
     assert main([*argv, "--edges", str(clean), "--nodes", str(nodes)]) == 0
-    want, want_warnings = capsys.readouterr(), list(caplog.messages)
-    caplog.clear()
+    want = capsys.readouterr()
     assert main([*argv, "--edges", str(dirty), "--nodes", str(odd_nodes)]) == 0
     got = capsys.readouterr()
     assert got.out == want.out
-    assert got.err == want.err == ""
-    assert caplog.messages == [
+    assert got.err.splitlines() == [
         f"commgraph: warning: {dirty}: 2 rows rejected (first: line 2: control character U+0001)",
         f"commgraph: warning: {odd_nodes}: 2 cleaning warnings (first: line 2: unknown kind 'alien' mapped to 'other')",
-        *want_warnings,
+        *want.err.splitlines(),
     ]
 
 
@@ -339,7 +339,7 @@ def test_each_command_runs_only_the_stages_it_names(argv, never, monkeypatch, ca
 def test_closeness_warning_names_the_first_isolated_node_once():
     # it used to print `closeness of isolated node 10 reported as 0`: an internal
     # id, with no prefix, one line per node. A subprocess shows the real stderr,
-    # which pytest's log capture would take over in process.
+    # as a user of the command sees it.
     collab = SAMPLE / "collab"
     src = str(SAMPLE.parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -351,6 +351,44 @@ def test_closeness_warning_names_the_first_isolated_node_once():
         f"commgraph: warning: {collab / 'nodes.csv'}: 1 cleaning warnings (first: line 6: unknown kind 'Observatory' mapped to 'other')",
         "commgraph: warning: closeness of 1 isolated nodes reported as 0 (first: 'Omicron Works')",
     ]
+
+
+def test_importing_the_cli_loads_no_dataclasses_logging_or_inspect():
+    # every CLI call pays for its imports, and these three cost about 12 ms of
+    # one; which modules load does not depend on how fast the host is
+    probe = "import sys; before = set(sys.modules); import commgraph.cli; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": str(SAMPLE.parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    added = set(run.stdout.split())
+    assert "commgraph.cli" in added
+    assert added.isdisjoint({"dataclasses", "logging", "inspect"})
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("rc", [0, 1, 2])
+def test_a_command_runs_without_the_cyclic_collector(rc, enabled, tmp_path, monkeypatch):
+    louvain = report.louvain
+    states = []
+
+    def probe(graph):
+        states.append(gc.isenabled())
+        if rc == 2:
+            raise RuntimeError("stage failed")
+        return louvain(graph)
+
+    monkeypatch.setattr(report, "louvain", probe)
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target\nA,B\nB,C\n" if rc != 1 else "from,to\nA,B\n", encoding="utf-8")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(["communities", "--edges", str(edges)])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    # a bad header (exit 1) stops the run before any stage; a failing stage exits 2
+    assert (code, states) == (rc, [] if rc == 1 else [False])
+    assert after is enabled
 
 
 _DEGENERATE_EDGES = {
@@ -392,7 +430,7 @@ _STAGE_WARNINGS = {
 
 @pytest.mark.parametrize("command", _EDGE_COMMANDS)
 @pytest.mark.parametrize("case", _DEGENERATE_EDGES)
-def test_degenerate_graph_is_refused_before_any_stage_runs(case, command, tmp_path, monkeypatch, capsys, caplog):
+def test_degenerate_graph_is_refused_before_any_stage_runs(case, command, tmp_path, monkeypatch, capsys):
     # a refused run used to compute every stage before the failing one: the
     # all-pairs sweep, with its closeness warning, ran before Louvain refused
     def fail(*args, **kwargs):
@@ -407,8 +445,8 @@ def test_degenerate_graph_is_refused_before_any_stage_runs(case, command, tmp_pa
             monkeypatch.setattr(f"commgraph.report.{name}", fail)
     rc = main([*_EDGE_COMMANDS[command], str(out), "--edges", str(edges)])
     captured = capsys.readouterr()
-    # library warnings reach stderr through logging, which caplog takes over in process
-    stderr = "".join(f"{message}\n" for message in caplog.messages) + captured.err
+    # library warnings and the CLI's error share stderr, in the order they were written
+    stderr = captured.err
     lines = [f"commgraph: warning: {edges}: 2 rows rejected (first: line 2: empty target)"] if case == "all-rejected" else []
     lines += [_STAGE_WARNINGS[case, command]] if (case, command) in _STAGE_WARNINGS else []
     if refusal is None:
