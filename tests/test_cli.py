@@ -354,8 +354,8 @@ def test_closeness_warning_names_the_first_isolated_node_once():
 
 
 def test_importing_the_cli_loads_no_dataclasses_logging_or_inspect():
-    # every CLI call pays for its imports, and these three cost about 12 ms of
-    # one; which modules load does not depend on how fast the host is
+    # every CLI call pays for its imports; which modules load, unlike what
+    # they cost, does not depend on the host
     probe = "import sys; before = set(sys.modules); import commgraph.cli; print(*sorted(set(sys.modules) - before))"
     env = {**os.environ, "PYTHONPATH": str(SAMPLE.parent.parent / "src")}
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
@@ -445,8 +445,6 @@ def test_degenerate_graph_is_refused_before_any_stage_runs(case, command, tmp_pa
             monkeypatch.setattr(f"commgraph.report.{name}", fail)
     rc = main([*_EDGE_COMMANDS[command], str(out), "--edges", str(edges)])
     captured = capsys.readouterr()
-    # library warnings and the CLI's error share stderr, in the order they were written
-    stderr = captured.err
     lines = [f"commgraph: warning: {edges}: 2 rows rejected (first: line 2: empty target)"] if case == "all-rejected" else []
     lines += [_STAGE_WARNINGS[case, command]] if (case, command) in _STAGE_WARNINGS else []
     if refusal is None:
@@ -455,7 +453,8 @@ def test_degenerate_graph_is_refused_before_any_stage_runs(case, command, tmp_pa
         lines.append(f"commgraph: error: {refusal}")
         assert (rc, captured.out) == (1, "")
         assert not out.exists()
-    assert stderr == "".join(f"{line}\n" for line in lines)
+    # library warnings and the CLI's error share stderr, in the order they were written
+    assert captured.err == "".join(f"{line}\n" for line in lines)
 
 
 # every weight scaled alike: modularity is scale-free, so the answer is the unit-weight one
