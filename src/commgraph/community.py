@@ -23,6 +23,7 @@ import csv
 import functools
 import io
 import math
+from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -247,15 +248,20 @@ def _edge_index(g: Graph) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:
 
 
 def _edge_dependencies(adjacency, index, sources, scores, traversals=None) -> None:
-    """Add the Brandes dependencies of `sources`, one source after another, into `scores`.
+    """Zero the edges of `sources`, then add their Brandes dependencies into `scores`, one source after another.
 
     `scores` is indexed by edge number (`_edge_index`). An edge only gains
-    dependency from sources in its own component. `traversals` maps a
-    source to the `shortest_paths` result the caller already has for it on
-    this adjacency; it is only read, walking `order` backwards as the
+    dependency from sources in its own component, so when `sources` are
+    whole components their edges get their scores afresh. `traversals` maps
+    a source to the `shortest_paths` result the caller already has for it
+    on this adjacency; it is only read, walking `order` backwards as the
     sweep's `_source_pass` does.
     """
     n = len(adjacency)
+    for u in sources:
+        for v in adjacency[u]:
+            if u < v:
+                scores[index[u][v]] = 0.0
     traversals = traversals or {}
     for s in sources:
         order, _, sigma, preds = traversals.get(s) or shortest_paths(adjacency, s)
@@ -267,6 +273,81 @@ def _edge_dependencies(adjacency, index, sources, scores, traversals=None) -> No
                 contribution = sigma[v] * coeff
                 scores[edge[v]] += contribution
                 delta[v] += contribution
+
+
+def _gn_steps(adjacency, ends, scores):
+    """Girvan-Newman's step loop: remove the edge of greatest score until every score is -inf.
+
+    Each step removes the greatest-scoring edge, the smallest pair among the
+    tied (module docstring), and marks it -inf. It yields its record (top
+    score, edge number, the edge's score, v's side if u's component split,
+    else None), the sorted sources to rescore, and the reach traversals of
+    u (and v). The consumer rescores the sources before the next step.
+    """
+    while True:
+        top = max(scores)
+        if top == -math.inf:
+            return
+        tied = top - top * _GN_TIE_REL
+        # edges are numbered in (u, v) order: the first score tied with the maximum has the smallest pair
+        k = scores.index(next(filter(tied.__le__, scores)))
+        u, v = ends[k]
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+        score, scores[k] = scores[k], -math.inf
+        traversals = {u: shortest_paths(adjacency, u)}
+        reach, dist = traversals[u][:2]
+        split = None
+        if dist[v] == math.inf:
+            traversals[v] = shortest_paths(adjacency, v)
+            split = traversals[v][0]
+            reach = reach + split  # a new list: u's traversal keeps its own order
+        yield (top, k, score, split), sorted(reach), traversals
+
+
+def _gn_finish(adjacency, index, ends, scores) -> list:
+    """Run `_gn_steps` to its end, rescoring each step's sources in this process; return the records.
+
+    Every component with an edge must have at most SWEEP_BLOCK nodes, so
+    each recompute is one block, as `girvan_newman` runs it.
+    """
+    records = []
+    for record, sources, traversals in _gn_steps(adjacency, ends, scores):
+        _edge_dependencies(adjacency, index, sources, scores, traversals)
+        records.append(record)
+    return records
+
+
+def _merge_logs(logs) -> list | None:
+    """Merge the components' removal logs into the one global order, or None where a log cannot decide a step.
+
+    At each step the largest next top score T sets `tied` = T - T * _GN_TIE_REL,
+    as `_gn_steps` does. A log whose next top is below `tied` offers nothing.
+    Any other logged its smallest edge at or above its own threshold, which is
+    no higher than `tied`; when that edge's score reaches `tied` it is also the
+    smallest at or above `tied`, and the smallest offered edge goes. Otherwise
+    the component's edge is not in its log, and the merge gives None.
+    """
+    logs = [iter(log) for log in logs]
+    heads = [next(log) for log in logs]
+    merged = []
+    while heads:
+        top = max(head[0] for head in heads)
+        tied = top - top * _GN_TIE_REL
+        pick = None
+        for i, (head_top, k, score, _) in enumerate(heads):
+            if head_top >= tied:
+                if score < tied:
+                    return None
+                if pick is None or k < heads[pick][1]:
+                    pick = i
+        merged.append(heads[pick])
+        head = next(logs[pick], None)
+        if head is None:
+            del heads[pick], logs[pick]
+        else:
+            heads[pick] = head
+    return merged
 
 
 class GNTrace(NamedTuple):
@@ -283,15 +364,24 @@ def girvan_newman(g: Graph) -> GNTrace:
     Each step removes the edge of greatest betweenness; the module
     docstring says how ties go to the smallest pair. After a removal only
     the component(s) holding its endpoints are recomputed (Girvan & Newman
-    2002); every other edge keeps its score. A recompute zeroes the edges
-    of its sources, whole components in ascending id, and cuts the sources
-    into blocks of SWEEP_BLOCK. A single block is run in this process,
-    straight into the scores, reusing the reach traversals. With more
-    blocks, `block_pool` sums each block into one vector over edge numbers,
-    in forked workers or, on one CPU, in this process, and this process
-    adds the vectors in block order; the scores do not depend on the
-    process count. Each edge's score has a full recompute's terms, summed
-    per block, which the tie rule absorbs (module docstring).
+    2002); every other edge keeps its score. A recompute gives the edges of
+    its sources, whole components in ascending id, new scores. Up to
+    SWEEP_BLOCK sources run in this process, straight into the scores,
+    reusing the reach traversals. More are cut into blocks of SWEEP_BLOCK,
+    and `block_pool` sums each block into one vector over edge numbers, in
+    forked workers or, on one CPU, in this process; this process adds the
+    vectors in block order. Each edge's score has a full recompute's terms,
+    summed per block, which the tie rule absorbs (module docstring).
+
+    Once no component has more than SWEEP_BLOCK nodes, a removal changes
+    only its own component's scores, so each component's removals depend
+    on nothing outside it. This process then sends every component with an
+    edge, with its edges' scores, as one block of one `block_pool` round;
+    the block runs the same step loop to the component's end and returns
+    its log. `_merge_logs` merges the logs into the order these steps would
+    take here. When a near-tie across components, within `_GN_TIE_REL`,
+    leaves that order open, this process runs the remaining steps itself
+    from the state it sent. The trace does not depend on the process count.
 
     Candidate partitions are the connected components of the pruned graph;
     their modularity is always evaluated on the original graph. The earliest
@@ -303,7 +393,15 @@ def girvan_newman(g: Graph) -> GNTrace:
     adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
     ends, index = _edge_index(g)
 
-    def block_scores(adjacency, block):
+    def run_block(adjacency, block):
+        if isinstance(block, dict):  # a component of the tail, {edge number: score}: its log
+            local = list(adjacency)  # in this process `adjacency` is the caller's: copy the component's lists
+            scores = [-math.inf] * len(ends)
+            for k, score in block.items():
+                scores[k] = score
+                for w in ends[k]:
+                    local[w] = adjacency[w][:]
+            return _gn_finish(local, index, ends, scores)
         vector = [0.0] * len(ends)
         _edge_dependencies(adjacency, index, block, vector)
         return vector
@@ -313,14 +411,15 @@ def girvan_newman(g: Graph) -> GNTrace:
     removed: list[tuple[int, int]] = []  # since the pool's last round
 
     def recompute(sources, traversals=None):
-        edges = [index[u][v] for u in sources for v in adjacency[u] if u < v]
-        for k in edges:
-            scores[k] = 0.0
         if len(sources) <= SWEEP_BLOCK:
             _edge_dependencies(adjacency, index, sources, scores, traversals)
             return
+        edges = [index[u][v] for u in sources for v in adjacency[u] if u < v]
+        for k in edges:
+            scores[k] = 0.0
         # block sums, added in block order
-        for vector in run_round(sources, tuple(removed)):
+        blocks = [sources[lo : lo + SWEEP_BLOCK] for lo in range(0, len(sources), SWEEP_BLOCK)]
+        for vector in run_round(blocks, tuple(removed)):
             for k in edges:
                 scores[k] += vector[k]
         removed.clear()
@@ -329,36 +428,35 @@ def girvan_newman(g: Graph) -> GNTrace:
     q = _modularity_kernel(original, part.assignment)
     best_partition, best_q = part, q
     removals: list[tuple[tuple[int, int], float]] = []
-    with block_pool(adjacency, block_scores, "Girvan-Newman") as run_round:
-        recompute(range(g.node_count))
-        for _ in ends:
-            # edges are numbered in (u, v) order: the first score tied with the maximum has the smallest pair
-            top = max(scores)
-            tied = top - top * _GN_TIE_REL
-            k = scores.index(next(filter(tied.__le__, scores)))
-            u, v = ends[k]
-            adjacency[u].remove(v)
-            adjacency[v].remove(u)
-            removed.append((u, v))
-            scores[k] = -math.inf
-            # these traversals are also the first sources a one-block recompute runs
-            traversals = {u: shortest_paths(adjacency, u)}
-            reach, dist = traversals[u][:2]
-            if dist[v] == math.inf:
-                # the removal split u's component: v's side becomes a new community
-                traversals[v] = shortest_paths(adjacency, v)
-                split = traversals[v][0]
-                label = list(part.assignment)
-                for w in split:
-                    label[w] = part.community_count
-                part = Partition.from_assignment(label)
-                q = _modularity_kernel(original, part.assignment)
-                reach = reach + split  # a new list: u's traversal keeps its own order
-            removals.append(((u, v), q))
+
+    def record(k, split):
+        nonlocal part, q, best_partition, best_q
+        if split:  # v's side becomes a new community
+            label = list(part.assignment)
+            for w in split:
+                label[w] = part.community_count
+            part = Partition.from_assignment(label)
+            q = _modularity_kernel(original, part.assignment)
             if q > best_q:
                 best_partition, best_q = part, q
-            # only the component(s) that held the removed edge changed
-            recompute(sorted(reach), traversals)
+        removals.append((ends[k], q))
+
+    with block_pool(adjacency, run_block, "Girvan-Newman") as run_round:
+        recompute(range(g.node_count))
+        steps = _gn_steps(adjacency, ends, scores)
+        while max(Counter(part.assignment).values()) > SWEEP_BLOCK:
+            (_, k, _, split), sources, traversals = next(steps)
+            removed.append(ends[k])
+            recompute(sources, traversals)
+            record(k, split)
+        tail: dict[int, dict[int, float]] = {}  # component -> its edges' scores
+        for k, score in enumerate(scores):
+            if score != -math.inf:
+                tail.setdefault(part.assignment[ends[k][0]], {})[k] = score
+        logs = list(run_round(list(tail.values()), tuple(removed)))
+    merged = _merge_logs(logs)
+    for _, k, _, split in _gn_finish(adjacency, index, ends, scores) if merged is None else merged:
+        record(k, split)
     return GNTrace(tuple(removals), best_partition, best_q)
 
 

@@ -324,7 +324,7 @@ def sweep_all_pairs(adjacency) -> PathSweep:
     rows = []
     dependency = [0.0] * n
     with block_pool(adjacency, _block_passes, "all-pairs sweep") as run_round:
-        for passes in run_round(range(n)):
+        for passes in run_round([range(lo, min(lo + SWEEP_BLOCK, n)) for lo in range(0, n, SWEEP_BLOCK)]):
             for fields, delta in passes:
                 rows.append(fields)
                 dependency = list(map(add, dependency, delta))
@@ -334,12 +334,14 @@ def sweep_all_pairs(adjacency) -> PathSweep:
 
 @contextlib.contextmanager
 def block_pool(adjacency, kernel, task: str):
-    """Yield `run_round(sources, removed=())`: `kernel(adjacency, block)` over each block of `sources`, in rounds.
+    """Yield `run_round(blocks, removed=())`: `kernel(adjacency, block)` for each of `blocks`, in rounds.
 
-    A round cuts the ascending `sources` into blocks of SWEEP_BLOCK and
-    returns an iterator over the blocks' results in block order; it must be
-    read to its end before the next round starts. `removed` lists the edges
-    (u, v) the caller has deleted from `adjacency` since the last round.
+    The caller cuts the blocks: runs of at most SWEEP_BLOCK sources for the
+    sweep and for Girvan-Newman's recomputes, whole components for
+    Girvan-Newman's tail. A round returns an iterator over the blocks'
+    results in block order; it must be read to its end before the next
+    round starts. `removed` lists the edges (u, v) the caller has deleted
+    from `adjacency` since the last round.
 
     Forked processes, one per usable CPU and never more than the blocks of
     all the nodes, live until the `with` ends. Each holds its own copy of
@@ -347,9 +349,9 @@ def block_pool(adjacency, kernel, task: str):
     k runs blocks k, k + workers, ... of each round and pickles each result
     to its own pipe, which the round reads block b from as pipe b % workers.
     A worker waits on a full pipe until this process reads, so no worker
-    runs far ahead of the reader. One block, one CPU, another running
-    thread (forking then is unsafe) or a platform without `os.fork` keep
-    every round in this process, on `adjacency` itself.
+    runs far ahead of the reader. A graph of one block of nodes, one CPU,
+    another running thread (forking then is unsafe) or a platform without
+    `os.fork` keep every round in this process, on `adjacency` itself.
 
     Workers run without the cyclic garbage collector. A kernel makes lists
     by the thousand per source, which would set the collector off about
@@ -366,9 +368,7 @@ def block_pool(adjacency, kernel, task: str):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, -(-len(adjacency) // SWEEP_BLOCK))
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield lambda sources, removed=(): (
-            kernel(adjacency, sources[lo : lo + SWEEP_BLOCK]) for lo in range(0, len(sources), SWEEP_BLOCK)
-        )
+        yield lambda blocks, removed=(): (kernel(adjacency, block) for block in blocks)
         return
     readers = []
     rounds: list[int] = []  # this process's write ends of the workers' round pipes
@@ -398,8 +398,8 @@ def block_pool(adjacency, kernel, task: str):
                         os._exit(status)  # no traceback, no atexit, no flush of the parent's buffers
             pids.append(pid)
 
-        def run_round(sources, removed=()):
-            message = memoryview(pickle.dumps((removed, sources)))
+        def run_round(blocks, removed=()):
+            message = memoryview(pickle.dumps((removed, blocks)))
             for k, fd in enumerate(rounds):
                 try:
                     sent = 0
@@ -407,7 +407,7 @@ def block_pool(adjacency, kernel, task: str):
                         sent += os.write(fd, message[sent:])
                 except BrokenPipeError:
                     raise RuntimeError(f"{task}: worker process {k} ended between rounds") from None
-            count = -(-len(sources) // SWEEP_BLOCK)
+            count = len(blocks)
             for b in range(count):
                 try:
                     result = pickle.load(readers[b % workers])
@@ -432,15 +432,15 @@ def block_pool(adjacency, kernel, task: str):
 
 
 def _serve_rounds(adjacency, kernel, k: int, workers: int, inbox, out) -> None:
-    """Worker k's loop: per round, delete the removed edges, then pickle blocks k, k + workers, ... to `out`."""
+    """Worker k's loop: per round, delete the removed edges, then pickle the results of blocks k, k + workers, ... to `out`."""
     while True:
         try:
-            removed, sources = pickle.load(inbox)
+            removed, blocks = pickle.load(inbox)
         except EOFError:
             return
         for u, v in removed:
             adjacency[u].remove(v)
             adjacency[v].remove(u)
-        for lo in range(k * SWEEP_BLOCK, len(sources), workers * SWEEP_BLOCK):
-            pickle.dump(kernel(adjacency, sources[lo : lo + SWEEP_BLOCK]), out)
+        for block in blocks[k::workers]:
+            pickle.dump(kernel(adjacency, block), out)
             out.flush()

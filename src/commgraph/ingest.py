@@ -333,6 +333,12 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
     return graph, log
 
 
+def weight_text(w: float) -> str:
+    """An edge weight as the edge CSV, GEXF and DOT write it: 6 significant digits when they read back as `w`, else `repr`."""
+    text = format(w, "g")
+    return text if float(text) == w else repr(w)
+
+
 def edges_to_csv(g: Graph) -> str:
     """Standard edge CSV for a graph (sorted, weight column always present)."""
     buf = io.StringIO()
@@ -340,5 +346,5 @@ def edges_to_csv(g: Graph) -> str:
     writer.writerow(["source", "target", "weight"])
     labels = g.labels
     for u, v, w in g.edges():
-        writer.writerow([labels[u], labels[v], format(w, "g")])
+        writer.writerow([labels[u], labels[v], weight_text(w)])
     return buf.getvalue()

@@ -19,7 +19,7 @@ from .centrality import MEASURES, CentralityVector, all_centralities, centrality
 from .community import Dendrogram, GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
 from .errors import DegenerateGraphError, UndefinedModularityError, warn
 from .graph import Graph, Partition, left_sum
-from .ingest import CleaningLog, load_dataset
+from .ingest import CleaningLog, load_dataset, weight_text
 from .metrics import MetricsReport, global_metrics
 
 EXPORT_FORMATS = ("gexf", "dot", "json")
@@ -102,11 +102,6 @@ def _node_rows(g: Graph, partition: Partition | None, scores):
         yield v, row
 
 
-def _weight_text(w: float) -> str:
-    """An edge weight as the GEXF and DOT exports write it."""
-    return format(w, "g")
-
-
 def _xml_attr(text: str) -> str:
     """`text` escaped as ElementTree escapes an attribute value."""
     return (
@@ -150,7 +145,7 @@ def export_gexf(g: Graph, partition: Partition | None = None, scores=None) -> st
         nodes.append("      </node>")
     _xml_block(lines, "    ", "nodes", nodes)
     edges = [
-        f'      <edge id="{i}" source="{u}" target="{v}" weight="{_weight_text(w)}" />'
+        f'      <edge id="{i}" source="{u}" target="{v}" weight="{weight_text(w)}" />'
         for i, (u, v, w) in enumerate(g.edges())
     ]
     _xml_block(lines, "    ", "edges", edges)
@@ -172,7 +167,7 @@ def export_dot(g: Graph, partition: Partition | None = None, scores=None) -> str
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {quote(g.labels[v])}{suffix};")
     for u, v, w in g.edges():
-        weight = f" [weight={_weight_text(w)}]" if w != 1.0 else ""
+        weight = f" [weight={weight_text(w)}]" if w != 1.0 else ""
         lines.append(f"  {quote(g.labels[u])} -- {quote(g.labels[v])}{weight};")
     lines.append("}")
     return "\n".join(lines) + "\n"

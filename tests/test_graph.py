@@ -293,7 +293,7 @@ def test_pool_workers_run_without_the_cyclic_collector(cpus, count, enabled):
     (gc.enable if enabled else gc.disable)()
     try:
         with graph_module.block_pool(adjacency, collector_state, "collector probe") as run_round:
-            states = list(run_round(range(len(adjacency))))
+            states = list(run_round([range(lo, lo + SWEEP_BLOCK) for lo in range(0, len(adjacency), SWEEP_BLOCK)]))
         after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
