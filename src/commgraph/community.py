@@ -14,7 +14,10 @@ tied; exact rational scores would avoid that, at the price of GN's speed.
 The rule also absorbs GN's block sums: a recompute of more than SWEEP_BLOCK
 sources sums each block's dependencies apart, then adds the block sums, so
 its scores can differ in the last bits from a full recompute's. The
-removals and Q match it.
+removals and Q match it. GN's tail runs each component on its own and
+merges the components' logs under the same rule; a near-tie across
+components that a log cannot settle sends the tail back to one process
+(`girvan_newman`), so the removals stay those of the one global loop.
 """
 
 from __future__ import annotations

@@ -432,7 +432,7 @@ def block_pool(adjacency, kernel, task: str):
 
 
 def _serve_rounds(adjacency, kernel, k: int, workers: int, inbox, out) -> None:
-    """Worker k's loop: per round, delete the removed edges, then pickle the results of blocks k, k + workers, ... to `out`."""
+    """Worker k's loop: per round, delete the removed edges, then pickle blocks k, k + workers, ... to `out`."""
     while True:
         try:
             removed, blocks = pickle.load(inbox)

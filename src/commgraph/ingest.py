@@ -334,7 +334,7 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
 
 
 def weight_text(w: float) -> str:
-    """An edge weight as the edge CSV, GEXF and DOT write it: 6 significant digits when they read back as `w`, else `repr`."""
+    """An edge weight as the edge CSV, GEXF and DOT write it: `format(w, "g")` if it reads back as `w`, else `repr(w)`."""
     text = format(w, "g")
     return text if float(text) == w else repr(w)
 

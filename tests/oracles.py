@@ -555,10 +555,7 @@ def export_gexf_reference(g: Graph, partition: Partition | None = None, scores=N
             ET.SubElement(values_el, "attvalue", {"for": ids[name], "value": str(value)})
     edges_el = ET.SubElement(graph_el, "edges")
     for i, (u, v, w) in enumerate(g.edges()):
-        ET.SubElement(
-            edges_el,
-            "edge",
-            {"id": str(i), "source": str(u), "target": str(v), "weight": format(w, "g")},
-        )
+        weight = format(w, "g") if float(format(w, "g")) == w else repr(w)  # 6 digits only where they are exact
+        ET.SubElement(edges_el, "edge", {"id": str(i), "source": str(u), "target": str(v), "weight": weight})
     ET.indent(root)
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
 import random
 import signal
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import commgraph.community as community_module
+import oracles
 from commgraph.cli import main
 from commgraph.errors import PartitionMismatchError, UndefinedModularityError
 from commgraph.community import (
@@ -355,7 +358,9 @@ def test_girvan_newman_work_is_pinned(cpus):
     # evaluates Q once plus once per split, and runs one BFS per recomputed
     # source. In a recompute of one block the reach BFS from u (and from v on
     # a split) is the first of them; a recompute of more blocks runs every
-    # source afresh, after the reach BFS. The graphs have one and two blocks
+    # source afresh, after the reach BFS. The tail's components run through
+    # the pool's one-process path with the same one-block recomputes. The
+    # graphs have one and two blocks
     cpus(1)
     for planted in ((3, 10, 0.3, 0.02, 5), (2, 20, 0.3, 0.05, 2)):
         g, _ = gen_planted_partition(*planted[:4], seed=planted[4])
@@ -409,6 +414,8 @@ GN_GRAPHS = {
     "components straddling blocks": _interleaved_components,
     "data/sample": lambda: load_dataset(SAMPLE_EDGES)[0],
     "planted N = 120": lambda: gen_planted_partition(4, 30, 0.2, 0.01, seed=1)[0],
+    # its tail is eight identical cliques, whose scores tie exactly across components
+    "ring of 8 cliques of 6": lambda: gen_ring_of_cliques(8, 6)[0],
 }
 
 
@@ -435,6 +442,84 @@ def test_girvan_newman_is_identical_with_any_process_count(cpus, monkeypatch, gn
     # one pool for the whole run, never one fork per removal
     blocks = -(-g.node_count // SWEEP_BLOCK)
     assert len(forks) == (min(count, blocks) if count > 1 and blocks > 1 else 0)
+
+
+def _recording_rounds(monkeypatch) -> list:
+    """Record in the returned list the blocks of each round of GN's `block_pool`."""
+    pool = community_module.block_pool
+    rounds = []
+
+    @contextlib.contextmanager
+    def recording_pool(adjacency, kernel, task):
+        with pool(adjacency, kernel, task) as run_round:
+            def recording_round(blocks, removed=()):
+                rounds.append(blocks)
+                return run_round(blocks, removed)
+
+            yield recording_round
+
+    monkeypatch.setattr(community_module, "block_pool", recording_pool)
+    return rounds
+
+
+def _components_at_handoff(g, trace):
+    """The components with an edge once GN's removals leave none of more than SWEEP_BLOCK nodes, as edge sets."""
+    adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
+    removals = iter(trace.removals)
+    while max(Counter(components(adjacency).assignment).values()) > SWEEP_BLOCK:
+        (u, v), _ = next(removals)
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+    label = components(adjacency).assignment
+    edges = {}
+    for u, v in sorted((u, v) for u, nbrs in enumerate(adjacency) for v in nbrs if u < v):
+        edges.setdefault(label[u], set()).add((u, v))
+    return list(edges.values())
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_the_tail_of_girvan_newman_is_one_pool_round(cpus, monkeypatch, count):
+    # whatever the number of components left, the tail is the pool's last round, one block per component
+    triangles = _numbered_graph(60, [(t + a, t + b) for t in range(0, 60, 3) for a, b in ((0, 1), (0, 2), (1, 2))])
+    rounds = _recording_rounds(monkeypatch)
+    cpus(count)
+    tail_blocks = []
+    for g in (triangles, GN_GRAPHS["ring of 8 cliques of 6"](), GN_GRAPHS["planted N = 120"]()):
+        rounds.clear()
+        trace = girvan_newman(g)
+        tail = [blocks for blocks in rounds if isinstance(blocks[0], dict)]
+        assert len(tail) == 1 and tail[0] is rounds[-1]
+        ends = [(u, v) for u, v, _ in g.edges()]  # edge numbers are `g.edges()` order
+        assert [{ends[k] for k in block} for block in tail[0]] == _components_at_handoff(g, trace)
+        tail_blocks.append(len(tail[0]))
+    assert tail_blocks[0] == 20 and len(set(tail_blocks)) == 3
+
+
+def test_girvan_newman_runs_the_tail_itself_when_a_near_tie_spans_components(cpus, monkeypatch):
+    # widened to 5%, the tie band lets a component's top come near another's while its
+    # logged edge falls below the band, so the merge gives up and this process runs the tail
+    monkeypatch.setattr(community_module, "_GN_TIE_REL", 0.05)
+    monkeypatch.setattr(oracles, "_GN_TIE_REL", 0.05)
+    merge = community_module._merge_logs
+    undecided = []
+
+    def recording_merge(logs):
+        merged = merge(logs)
+        undecided.append(merged is None)
+        return merged
+
+    monkeypatch.setattr(community_module, "_merge_logs", recording_merge)
+    graphs = [g for g in _gn_differential_graphs() if components(g.neighbor_ids).community_count > 1]
+    # a 4-node tree beside an 8-node component whose tops come within 5% of each
+    # other; 30 isolates make two blocks of nodes, so the tail runs in workers
+    pairs = [(0, 1), (1, 2), (1, 3), (4, 5), (4, 7), (4, 8), (5, 6), (5, 10), (6, 8), (6, 9), (8, 10), (8, 11)]
+    graphs.append(_numbered_graph(42, [*pairs, (9, 10), (9, 11)]))
+    for count in (1, 2):
+        cpus(count)
+        undecided.clear()
+        for g in graphs:
+            assert girvan_newman(g) == girvan_newman_full_recompute(g)
+        assert any(undecided)
 
 
 def _failing_in_workers_after_a_removal(monkeypatch, g) -> None:

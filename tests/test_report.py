@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import json
 import random
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,8 @@ from commgraph.report import (
 from commgraph.synth import gen_ring_of_cliques
 from conftest import import_graph_json, make_graph
 from oracles import export_gexf_reference
+
+SAMPLE_COLLAB = Path(__file__).resolve().parent.parent / "data" / "sample" / "collab"
 
 
 def vec(*scores):
@@ -175,6 +179,85 @@ def test_gexf_of_a_collab_shaped_graph_matches_the_element_tree_reference(tmp_pa
     partition = louvain(g).final_partition
     for args in ((), (partition,), (partition, scores)):
         assert export_gexf(g, *args) == export_gexf_reference(g, *args)
+
+
+def _read_dot(text: str):
+    """Node fill colours and edge weights, by label, of the DOT subset `export_dot` writes."""
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+
+    def unquote(label: str) -> str:
+        return re.sub(r"\\(.)", r"\1", label)
+
+    lines = text.splitlines()
+    assert lines[0] == "graph collaboration {" and lines[-1] == "}"
+    colours, weights = {}, {}
+    for line in lines[1:-1]:
+        if edge := re.fullmatch(rf"  {quoted} -- {quoted}(?: \[weight=([^\]]+)\])?;", line):
+            weights[frozenset((unquote(edge[1]), unquote(edge[2])))] = float(edge[3] or 1.0)
+        elif node := re.fullmatch(rf"  {quoted} \[fillcolor=(\d+)\];", line):
+            colours[unquote(node[1])] = int(node[2])
+        else:
+            assert line == "  node [style=filled, colorscheme=set312];"
+    return colours, weights
+
+
+def assert_exports_read_back(directory, g, communities, scores) -> None:
+    """graph.gexf, .dot and .json in `directory`, read by networkx, a DOT parser and `json`, give `g` and the report.
+
+    `communities` maps each label to its community and `scores` to its five
+    centrality scores. Labels, edges and weights must come back exactly.
+    """
+    nx = pytest.importorskip("networkx")
+    weights = {frozenset((g.labels[u], g.labels[v])): w for u, v, w in g.edges()}
+    attributes = {
+        label: {"kind": rec.kind, "location": rec.location, "community": communities[label], **scores[label]}
+        for label, rec in zip(g.labels, g.records)
+    }
+    names = list(attributes[g.labels[0]])
+    gexf = nx.read_gexf(directory / "graph.gexf")
+    labels = nx.get_node_attributes(gexf, "label")
+    assert {labels[v]: {name: data.get(name) for name in names} for v, data in gexf.nodes(data=True)} == attributes
+    assert {frozenset((labels[u], labels[v])): w for u, v, w in gexf.edges(data="weight")} == weights
+    assert gexf.number_of_edges() == len(weights)
+    payload = json.loads((directory / "graph.json").read_text(encoding="utf-8"))
+    assert {node["label"]: {name: node.get(name) for name in names} for node in payload["nodes"]} == attributes
+    assert {frozenset((e["source"], e["target"])): e["weight"] for e in payload["edges"]} == weights
+    assert len(payload["edges"]) == len(weights)
+    colours, dot_weights = _read_dot((directory / "graph.dot").read_text(encoding="utf-8"))
+    assert colours == {label: communities[label] % 12 + 1 for label in attributes}
+    assert dot_weights == weights
+
+
+def test_the_collab_sample_exports_read_back_to_its_graph_and_report(tmp_path, capsys):
+    files = [SAMPLE_COLLAB / f"{name}.csv" for name in ("edges", "nodes", "aliases")]
+    argv = ["--edges", str(files[0]), "--nodes", str(files[1]), "--aliases", str(files[2]), "--weighted"]
+    assert main(["analyze", *argv, "--export", "gexf,dot,json", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    g, _ = load_dataset(*files)
+    # 0.6000000000000001, 0.666666666667 and 1.833333333333 are not exact in 6 digits
+    assert sum(float(format(w, "g")) != w for _, _, w in g.edges()) == 3
+    scores = {row.pop("label"): row for row in report["centrality"]["table"]}
+    assert_exports_read_back(tmp_path, g, report["communities"]["assignment"], scores)
+
+
+def test_a_collab_shaped_graph_with_non_dyadic_weights_reads_back(tmp_path):
+    files = collab_shaped_files(tmp_path, 2000, seed=19)
+    rng = random.Random(19)
+    with files["edges"].open(encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    for row in rows[1:]:  # thirds and tenths, whose sums are rarely exact in 6 digits
+        row[2] = repr(rng.randint(1, 30) / rng.choice((3, 10)))
+    with files["edges"].open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows(rows)
+    g, _ = load_dataset(files["edges"], files["nodes"], files["aliases"])
+    assert sum(float(format(w, "g")) != w for _, _, w in g.edges()) > 1000
+    partition = louvain(g).final_partition
+    vectors = [CentralityVector(m, tuple(rng.random() / 3 for _ in range(g.node_count))) for m in MEASURES]
+    for fmt in ("gexf", "dot", "json"):
+        (tmp_path / f"graph.{fmt}").write_text(export_graph(g, partition, vectors, fmt), encoding="utf-8")
+    communities = {g.labels[v]: c for v, c in enumerate(partition.assignment)}
+    scores = {g.labels[v]: {vec.measure: vec.scores[v] for vec in vectors} for v in range(g.node_count)}
+    assert_exports_read_back(tmp_path, g, communities, scores)
 
 
 def test_json_round_trip(barbell):
