@@ -512,8 +512,9 @@ def test_girvan_newman_runs_the_tail_itself_when_a_near_tie_spans_components(cpu
     graphs = [g for g in _gn_differential_graphs() if components(g.neighbor_ids).community_count > 1]
     # a 4-node tree beside an 8-node component whose tops come within 5% of each
     # other; 30 isolates make two blocks of nodes, so the tail runs in workers
-    pairs = [(0, 1), (1, 2), (1, 3), (4, 5), (4, 7), (4, 8), (5, 6), (5, 10), (6, 8), (6, 9), (8, 10), (8, 11)]
-    graphs.append(_numbered_graph(42, [*pairs, (9, 10), (9, 11)]))
+    tree = [(0, 1), (1, 2), (1, 3)]
+    other = [(4, 5), (4, 7), (4, 8), (5, 6), (5, 10), (6, 8), (6, 9), (8, 10), (8, 11), (9, 10), (9, 11)]
+    graphs.append(_numbered_graph(42, tree + other))
     for count in (1, 2):
         cpus(count)
         undecided.clear()
