@@ -21,13 +21,12 @@ Conventions (all for undirected unweighted traversal, all normalized):
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, warn
 from .graph import Graph, left_sum
+from .ingest import csv_text
 
 MEASURES = ("degree", "betweenness", "closeness", "harmonic", "pagerank")
 
@@ -132,9 +131,7 @@ def all_centralities(g: Graph, damping: float = 0.85) -> dict[str, CentralityVec
 
 def centrality_table_csv(g: Graph, vectors: dict[str, CentralityVector]) -> str:
     """Per-node CSV, 6 significant digits, rows sorted by label."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label"] + list(MEASURES))
-    for v in g.label_order:
-        writer.writerow([g.labels[v]] + [format(vectors[m].scores[v], ".6g") for m in MEASURES])
-    return buf.getvalue()
+    return csv_text(
+        ["label", *MEASURES],
+        ([g.labels[v]] + [format(vectors[m].scores[v], ".6g") for m in MEASURES] for v in g.label_order),
+    )

@@ -22,16 +22,14 @@ components that a log cannot settle sends the tail back to one process
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .errors import PartitionMismatchError, UndefinedModularityError
 from .graph import SWEEP_BLOCK, Graph, Partition, block_pool, components, left_sum, shortest_paths
+from .ingest import csv_text
 
 _GAIN_EPS = 1e-7  # level-to-level modularity improvement below this stops Louvain
 _UNSCALED = (2.0**-64, 2.0**64)  # weights in this range need no scaling (`AggregateGraph.from_graph`)
@@ -90,10 +88,11 @@ class AggregateGraph:
 
 
 def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
-    """Q = sum_c [ e_c/m - (d_c/2m)^2 ] over the given community assignment."""
+    """Q = sum_c [ e_c/m - (d_c/2m)^2 ] over the given community assignment.
+
+    `agg` has at least one edge, so m > 0, and `assignment` covers every node of `agg`.
+    """
     m = agg.total_weight
-    if m <= 0:
-        raise UndefinedModularityError("modularity is undefined with zero total edge weight")
     count = max(assignment) + 1 if assignment else 0
     intra = [0.0] * count
     degree = [0.0] * count
@@ -108,11 +107,7 @@ def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
 
 
 def modularity(g: Graph, p: Partition) -> float:
-    """Partition quality on [-1, 1]; requires p to cover every node."""
-    if len(p.assignment) != g.node_count:
-        raise PartitionMismatchError(
-            f"partition covers {len(p.assignment)} nodes, graph has {g.node_count}"
-        )
+    """Partition quality on [-1, 1]; `g` has at least one edge and `p` covers every node of `g`."""
     return _modularity_kernel(AggregateGraph.from_graph(g), p.assignment)
 
 
@@ -235,18 +230,15 @@ def louvain(g: Graph) -> Dendrogram:
 
 
 def _edge_index(g: Graph) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:
-    """Number the edges in (min-id, max-id) order, which is `g.edges()` order.
+    """Number the edges in `g.edges()` order, which is (min-id, max-id) order.
 
     Returns (ends, index): `ends[k]` is edge k as (u, v) with u < v, and
     `index[u][v] == index[v][u] == k`. A lower number means a smaller pair.
     """
-    ends: list[tuple[int, int]] = []
+    ends = [(u, v) for u, v, _ in g.edges()]
     index: list[dict[int, int]] = [{} for _ in range(g.node_count)]
-    for u, nbrs in enumerate(g.neighbor_ids):
-        for v in nbrs:
-            if u < v:
-                index[u][v] = index[v][u] = len(ends)
-                ends.append((u, v))
+    for k, (u, v) in enumerate(ends):
+        index[u][v] = index[v][u] = k
     return ends, index
 
 
@@ -463,16 +455,12 @@ def girvan_newman(g: Graph) -> GNTrace:
     return GNTrace(tuple(removals), best_partition, best_q)
 
 
-def compare_partitions(a: Partition, b: Partition) -> dict:
-    """Canonical-form identity plus normalized mutual information.
+def normalized_mutual_information(a: Partition, b: Partition) -> float:
+    """NMI of two partitions of the same nodes, on [0, 1].
 
-    NMI uses natural logarithms; when both partitions carry zero entropy
+    It uses natural logarithms; when both partitions carry zero entropy
     (single community each) the 0/0 case is defined as 1.0.
     """
-    if len(a.assignment) != len(b.assignment):
-        raise PartitionMismatchError(
-            f"partitions cover {len(a.assignment)} and {len(b.assignment)} nodes"
-        )
     n = len(a.assignment)
     joint: dict[tuple[int, int], int] = {}
     for ca, cb in zip(a.assignment, b.assignment):
@@ -483,35 +471,22 @@ def compare_partitions(a: Partition, b: Partition) -> dict:
         size_a[ca] += cnt
         size_b[cb] += cnt
 
-    h_a = -sum(s / n * math.log(s / n) for s in size_a if s)
-    h_b = -sum(s / n * math.log(s / n) for s in size_b if s)
+    h_a = -left_sum(s / n * math.log(s / n) for s in size_a if s)
+    h_b = -left_sum(s / n * math.log(s / n) for s in size_b if s)
     if h_a + h_b == 0:
-        nmi = 1.0
-    else:
-        info = sum(
-            cnt / n * math.log(cnt * n / (size_a[ca] * size_b[cb]))
-            for (ca, cb), cnt in joint.items()
-        )
-        nmi = 2 * info / (h_a + h_b)
-        nmi = min(max(nmi, 0.0), 1.0)  # clamp float noise at the boundaries
-    return {"identical": a == b, "nmi": nmi}
+        return 1.0
+    info = left_sum(cnt / n * math.log(cnt * n / (size_a[ca] * size_b[cb])) for (ca, cb), cnt in joint.items())
+    return min(max(2 * info / (h_a + h_b), 0.0), 1.0)  # clamp float noise at the boundaries
 
 
 def partition_to_csv(g: Graph, p: Partition) -> str:
     """`label,community` rows in canonical community ids, in `g.label_order`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "community"])
-    for v in g.label_order:
-        writer.writerow([g.labels[v], p.assignment[v]])
-    return buf.getvalue()
+    return csv_text(["label", "community"], ([g.labels[v], p.assignment[v]] for v in g.label_order))
 
 
 def gn_trace_to_csv(labels, trace: GNTrace) -> str:
     """`step,removed_u,removed_v,modularity` rows in removal order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "removed_u", "removed_v", "modularity"])
-    for step, ((u, v), q) in enumerate(trace.removals, start=1):
-        writer.writerow([step, labels[u], labels[v], repr(q)])
-    return buf.getvalue()
+    return csv_text(
+        ["step", "removed_u", "removed_v", "modularity"],
+        ([step, labels[u], labels[v], repr(q)] for step, ((u, v), q) in enumerate(trace.removals, start=1)),
+    )

@@ -33,11 +33,7 @@ class DegenerateGraphError(CommGraphError):
 
 
 class UndefinedModularityError(CommGraphError):
-    """Raised when modularity is requested on a graph with zero total edge weight."""
-
-
-class PartitionMismatchError(CommGraphError):
-    """Raised when two partitions do not cover the same node set."""
+    """Raised by `report.run_pipeline` when community detection is asked of a graph with no edge."""
 
 
 class ConvergenceError(CommGraphError):

@@ -232,7 +232,8 @@ def parse_alias_csv(path) -> dict[str, str]:
     Chains resolve transitively: with `A,B` and `B,C` both A and B map to C.
     A cycle (`A,B` and `B,A`) is rejected. An alias whose canonical label
     differs from its variant only in case or spacing ends a chain: it sets
-    the node's spelling.
+    the node's spelling. Each key is walked once: a walk stops at the first
+    key already resolved, so the whole file costs time linear in its keys.
     """
     _, rows = _read_table(path, _ALIAS)
     aliases: dict[str, str] = {}
@@ -250,17 +251,20 @@ def parse_alias_csv(path) -> dict[str, str]:
         variants.setdefault(key, display_label(fields[0]))
 
     resolved: dict[str, str] = {}
-    for key, target in aliases.items():
-        chain = [key]
-        nxt = canonical_label(target)
-        while nxt in aliases and nxt != chain[-1]:
-            if nxt in chain:
-                cycle = chain[chain.index(nxt):] + [nxt]
+    for start in aliases:  # in file order: a resolved key leads to no cycle, so the first cycle found stays the same
+        key = start
+        walk: dict[str, int] = {}  # each key walked from `start` -> its position on the walk
+        while key not in resolved:
+            walk[key] = len(walk)
+            nxt = canonical_label(aliases[key])
+            if nxt not in aliases or nxt == key:  # aliases[key] ends the chain
+                resolved[key] = aliases[key]
+                break
+            if nxt in walk:
+                cycle = [*walk][walk[nxt]:] + [nxt]
                 raise IngestError(f"{path}: alias cycle {' -> '.join(variants[k] for k in cycle)}")
-            chain.append(nxt)
-            target = aliases[nxt]
-            nxt = canonical_label(target)
-        resolved[key] = target
+            key = nxt
+        resolved.update(dict.fromkeys(walk, resolved[key]))  # every key on the walk ends where `key` does
     return resolved
 
 
@@ -339,12 +343,16 @@ def weight_text(w: float) -> str:
     return text if float(text) == w else repr(w)
 
 
-def edges_to_csv(g: Graph) -> str:
-    """Standard edge CSV for a graph (sorted, weight column always present)."""
+def csv_text(header, rows) -> str:
+    """`header`, then `rows`, as CSV text in the one dialect of every CSV output: minimal quoting, LF line ends."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "target", "weight"])
-    labels = g.labels
-    for u, v, w in g.edges():
-        writer.writerow([labels[u], labels[v], weight_text(w)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def edges_to_csv(g: Graph) -> str:
+    """Standard edge CSV for a graph (sorted, weight column always present)."""
+    labels = g.labels
+    return csv_text(["source", "target", "weight"], ([labels[u], labels[v], weight_text(w)] for u, v, w in g.edges()))

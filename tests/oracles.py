@@ -10,9 +10,11 @@ two-stage ingest that lists every row before resolving any label, and
 `sweep_all_pairs_reference`, the one-process all-pairs loop; they are the
 references for the component-local recompute and the cached sweep in
 `commgraph.community`, for the one-pass `commgraph.ingest.load_dataset` and
-for the block-folded `commgraph.graph.sweep_all_pairs`. `export_gexf_reference`
-builds the GEXF as an ElementTree, the reference for the line-by-line
-`commgraph.report.export_gexf`.
+for the block-folded `commgraph.graph.sweep_all_pairs`.
+`parse_alias_csv_reference` walks every alias chain from its start, the
+reference for the one-pass resolver of `commgraph.ingest.parse_alias_csv`.
+`export_gexf_reference` builds the GEXF as an ElementTree, the reference
+for the line-by-line `commgraph.report.export_gexf`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from commgraph.graph import (
     left_sum,
 )
 from commgraph.ingest import (
+    _ALIAS,
     _EDGE,
     _MARK,
     _NUL,
@@ -452,6 +455,41 @@ def _parse_edge_csv_reference(path):
                 continue
         out.append((source, target, weight, line_no))
     return out, log
+
+
+def parse_alias_csv_reference(path) -> dict[str, str]:
+    """`commgraph.ingest.parse_alias_csv` walking each key's whole chain, testing each step against a list.
+
+    A chain of L links costs O(L**3), so it is for small files only.
+    """
+    _, rows = _read_table_reference(path, _ALIAS)
+    aliases = {}
+    variants = {}
+    for line_no, fields, err in rows:
+        if err is not None:
+            raise IngestError(f"{path}: line {line_no}: {err}")
+        if len(fields) != 2 or not display_label(fields[0]) or not display_label(fields[1]):
+            raise IngestError(f"{path}: line {line_no}: expected variant,canonical")
+        key = canonical_label(fields[0])
+        target = display_label(fields[1])
+        if key in aliases and canonical_label(aliases[key]) != canonical_label(target):
+            raise IngestError(f"{path}: line {line_no}: conflicting alias for {fields[0].strip()!r}")
+        aliases[key] = target
+        variants.setdefault(key, display_label(fields[0]))
+
+    resolved = {}
+    for key, target in aliases.items():
+        chain = [key]
+        nxt = canonical_label(target)
+        while nxt in aliases and nxt != chain[-1]:
+            if nxt in chain:
+                cycle = chain[chain.index(nxt):] + [nxt]
+                raise IngestError(f"{path}: alias cycle {' -> '.join(variants[k] for k in cycle)}")
+            chain.append(nxt)
+            target = aliases[nxt]
+            nxt = canonical_label(target)
+        resolved[key] = target
+    return resolved
 
 
 def load_dataset_reference(edge_path, node_path=None, alias_path=None) -> tuple[Graph, CleaningLog]:

@@ -4,10 +4,14 @@ import csv
 import io
 import random
 import re
+import time
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from commgraph.errors import IngestError
+from commgraph.graph import canonical_label
 from commgraph.ingest import (
     CleaningLog,
     edges_to_csv,
@@ -16,7 +20,7 @@ from commgraph.ingest import (
     parse_edge_csv,
     parse_node_csv,
 )
-from oracles import load_dataset_reference
+from oracles import load_dataset_reference, parse_alias_csv_reference
 
 
 def write(tmp_path, name, text):
@@ -235,6 +239,45 @@ def test_alias_longer_cycle_names_only_its_labels(tmp_path):
     a = write(tmp_path, "a.csv", "variant,canonical\nA,B\nB,C\nC,D\nD,B\n")
     with pytest.raises(IngestError, match=r"alias cycle B -> C -> D -> B$"):
         parse_alias_csv(a)
+
+
+# four names, each in two spellings that differ only in case or spacing
+ALIAS_NAMES = ["ann", "Ann", "bo", " BO", "cy lu", "cy  lu", "dee", "DEE"]
+
+
+@hypothesis.settings(
+    max_examples=400,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@hypothesis.given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(ALIAS_NAMES), st.sampled_from(ALIAS_NAMES)),
+        max_size=8,
+        unique_by=lambda row: canonical_label(row[0]),
+    )
+)
+def test_alias_resolution_matches_the_chain_walking_reference(tmp_path, rows):
+    # each variant maps once: chains, cycles, chains that run into a cycle, and respellings
+    a = write(tmp_path, "a.csv", "variant,canonical\n" + "".join(f"{v},{c}\n" for v, c in rows))
+
+    def outcome(parse):
+        try:
+            return parse(a)
+        except IngestError as exc:
+            return str(exc)
+
+    assert outcome(parse_alias_csv) == outcome(parse_alias_csv_reference)
+
+
+def test_a_20000_link_alias_chain_resolves_in_linear_time(tmp_path):
+    n = 20_000
+    a = write(tmp_path, "a.csv", "variant,canonical\n" + "".join(f"n{i},n{i + 1}\n" for i in range(n)))
+    start = time.perf_counter()
+    aliases = parse_alias_csv(a)
+    assert time.perf_counter() - start < 2.0  # walking every key's whole chain would take hours
+    assert len(aliases) == n and set(aliases.values()) == {f"n{n}"}
 
 
 PARSERS = {"edge": parse_edge_csv, "node": lambda p: parse_node_csv(p, CleaningLog()), "alias": parse_alias_csv}

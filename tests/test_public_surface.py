@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "commgraph"
 ALLOWED = {
     "main": "the `commgraph` console script in pyproject.toml calls it",
     "modularity": "Q of any partition, the function the brute-force oracle tests check",
-    "compare_partitions": "partition NMI, kept for the attribute report that ROADMAP.md plans",
+    "normalized_mutual_information": "partition NMI, kept for the attribute report that ROADMAP.md plans",
 }
 
 
