@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, warn
+from .errors import ConvergenceError, value_or_raise, warn
 from .graph import Graph, left_sum
 from .ingest import csv_text
 
@@ -118,14 +118,19 @@ def rank_top_k(vec: CentralityVector, k: int, g: Graph) -> list[tuple[str, float
     return [(g.labels[v], vec.scores[v]) for v in order[:k]]
 
 
-def all_centralities(g: Graph, damping: float = 0.85) -> dict[str, CentralityVector]:
-    """All five normalized measures, keyed in canonical MEASURES order."""
+def all_centralities(g: Graph, damping: float = 0.85, ranks=None) -> dict[str, CentralityVector]:
+    """All five normalized measures, keyed in canonical MEASURES order.
+
+    `ranks` is PageRank's result when it already ran beside the sweep: its
+    vector, or the error it returned, which is raised here, in PageRank's
+    place after closeness's warning.
+    """
     return {
         "degree": degree_centrality(g),
         "betweenness": betweenness_centrality(g),
         "closeness": closeness_centrality(g),
         "harmonic": harmonic_centrality(g),
-        "pagerank": pagerank(g, damping=damping),
+        "pagerank": pagerank(g, damping=damping) if ranks is None else value_or_raise(ranks),
     }
 
 

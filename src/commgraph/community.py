@@ -12,8 +12,9 @@ unit in the last place higher, and an exact argmax removed it first. The
 cost is that two distinct scores closer than the tolerance also count as
 tied; exact rational scores would avoid that, at the price of GN's speed.
 The rule also absorbs GN's block sums: a recompute of more than SWEEP_BLOCK
-sources sums each block's dependencies apart, then adds the block sums, so
-its scores can differ in the last bits from a full recompute's. The
+(32) sources, the most that runs in the calling process, sums the
+dependencies of each block of 16 sources apart, then adds the block sums,
+so its scores can differ in the last bits from a full recompute's. The
 removals and Q match it. GN's tail runs each component on its own and
 merges the components' logs under the same rule; a near-tie across
 components that a log cannot settle sends the tail back to one process
@@ -34,6 +35,7 @@ from .ingest import csv_text
 _GAIN_EPS = 1e-7  # level-to-level modularity improvement below this stops Louvain
 _UNSCALED = (2.0**-64, 2.0**64)  # weights in this range need no scaling (`AggregateGraph.from_graph`)
 _GN_TIE_REL = 2e-12  # betweenness this close to the maximum, relative to it, ties with it (module docstring)
+_GN_BLOCK = 16  # sources per pool block of a recompute of more than SWEEP_BLOCK sources (`girvan_newman`)
 
 
 class AggregateGraph:
@@ -87,23 +89,37 @@ class AggregateGraph:
         return left_sum(left_sum(w for _, w in nbrs) for nbrs in self.adjacency) / 2 + left_sum(self.self_loops)
 
 
-def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
-    """Q = sum_c [ e_c/m - (d_c/2m)^2 ] over the given community assignment.
+def _modularity_terms(agg: AggregateGraph, assignment, nodes) -> list[float]:
+    """Each community's term e_c/m - (d_c/2m)^2 of Q, by community id, summed over `nodes` only.
 
-    `agg` has at least one edge, so m > 0, and `assignment` covers every node of `agg`.
+    A community's intra weight e_c and degree d_c are summed over its
+    members in `nodes`, in the order given, each member's edges in adjacency
+    order. A community with every member in `nodes`, given in ascending id,
+    gets the term that the whole graph's sum gives it; any other term is
+    partial. `agg` has at least one edge, so m > 0, and `assignment` covers
+    every node of `agg`.
     """
     m = agg.total_weight
     count = max(assignment) + 1 if assignment else 0
     intra = [0.0] * count
     degree = [0.0] * count
-    for v, k in enumerate(agg.degrees):
+    degrees, self_loops, adjacency = agg.degrees, agg.self_loops, agg.adjacency
+    for v in nodes:
         c = assignment[v]
-        degree[c] += k
-        intra[c] += agg.self_loops[v]
-        for u, w in agg.adjacency[v]:
+        degree[c] += degrees[v]
+        intra[c] += self_loops[v]
+        for u, w in adjacency[v]:
             if assignment[u] == c and u < v:
                 intra[c] += w
-    return left_sum(e / m - (d / (2 * m)) ** 2 for e, d in zip(intra, degree))
+    return [e / m - (d / (2 * m)) ** 2 for e, d in zip(intra, degree)]
+
+
+def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
+    """Q = sum_c [ e_c/m - (d_c/2m)^2 ] over the given community assignment, added in community id order.
+
+    `agg` has at least one edge, so m > 0, and `assignment` covers every node of `agg`.
+    """
+    return left_sum(_modularity_terms(agg, assignment, range(len(assignment))))
 
 
 def modularity(g: Graph, p: Partition) -> float:
@@ -362,11 +378,14 @@ def girvan_newman(g: Graph) -> GNTrace:
     2002); every other edge keeps its score. A recompute gives the edges of
     its sources, whole components in ascending id, new scores. Up to
     SWEEP_BLOCK sources run in this process, straight into the scores,
-    reusing the reach traversals. More are cut into blocks of SWEEP_BLOCK,
-    and `block_pool` sums each block into one vector over edge numbers, in
+    reusing the reach traversals. More are cut into blocks of _GN_BLOCK
+    (16), fixed by the sources and not by the process count, and
+    `block_pool` sums each block into one vector over edge numbers, in
     forked workers or, on one CPU, in this process; this process adds the
     vectors in block order. Each edge's score has a full recompute's terms,
-    summed per block, which the tie rule absorbs (module docstring).
+    summed per block, which the tie rule absorbs (module docstring). Blocks
+    of half the in-process limit deal a recompute more evenly: 90 sources
+    go 48/42 to two workers, where blocks of 32 went 58/32.
 
     Once no component has more than SWEEP_BLOCK nodes, a removal changes
     only its own component's scores, so each component's removals depend
@@ -381,8 +400,12 @@ def girvan_newman(g: Graph) -> GNTrace:
     Candidate partitions are the connected components of the pruned graph;
     their modularity is always evaluated on the original graph. The earliest
     maximum wins. A removal that splits nothing keeps the partition, so its
-    Q is the previous Q: components are labelled once, and Q is evaluated
-    once plus once per split. `g` needs at least one edge.
+    Q is the previous Q: components are labelled once. Q is kept as one
+    term per community (`_modularity_terms`), all summed once; a split
+    sums again only the terms of its two sides, over their members, and Q
+    adds the terms in community id order, so each Q has
+    `_modularity_kernel`'s bits without a pass over the whole graph. `g`
+    needs at least one edge.
     """
     original = AggregateGraph.from_graph(g)
     adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
@@ -413,14 +436,15 @@ def girvan_newman(g: Graph) -> GNTrace:
         for k in edges:
             scores[k] = 0.0
         # block sums, added in block order
-        blocks = [sources[lo : lo + SWEEP_BLOCK] for lo in range(0, len(sources), SWEEP_BLOCK)]
+        blocks = [sources[lo : lo + _GN_BLOCK] for lo in range(0, len(sources), _GN_BLOCK)]
         for vector in run_round(blocks, tuple(removed)):
             for k in edges:
                 scores[k] += vector[k]
         removed.clear()
 
     part = components(adjacency)
-    q = _modularity_kernel(original, part.assignment)
+    terms = _modularity_terms(original, part.assignment, range(g.node_count))  # by community id
+    q = left_sum(terms)
     best_partition, best_q = part, q
     removals: list[tuple[tuple[int, int], float]] = []
 
@@ -431,7 +455,14 @@ def girvan_newman(g: Graph) -> GNTrace:
             for w in split:
                 label[w] = part.community_count
             part = Partition.from_assignment(label)
-            q = _modularity_kernel(original, part.assignment)
+            # the side holding the old community's smallest member keeps its id; the other takes its place in
+            # canonical order. Only their two terms change, and Q adds every term again, as the kernel does
+            ids = part.assignment
+            kept, new = sorted(ids[w] for w in ends[k])
+            changed = _modularity_terms(original, ids, [w for w, c in enumerate(ids) if c == kept or c == new])
+            terms[kept] = changed[kept]
+            terms.insert(new, changed[new])
+            q = left_sum(terms)
             if q > best_q:
                 best_partition, best_q = part, q
         removals.append((ends[k], q))

@@ -20,6 +20,18 @@ def warn(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
+def value_or_raise(result):
+    """`result`, unless it is a CommGraphError that a task handed back as its value: raise that instead.
+
+    A stage that runs beside the all-pairs sweep (`graph.sweep_beside`)
+    returns its error rather than raising it, so that the error can cross a
+    pipe; its caller passes the result through here where the stage runs.
+    """
+    if isinstance(result, CommGraphError):
+        raise result
+    return result
+
+
 class CommGraphError(Exception):
     """Base class for all commgraph errors."""
 
@@ -46,3 +58,7 @@ class ConvergenceError(CommGraphError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which lack `residual`
+        return type(self), (self.args[0], self.residual)

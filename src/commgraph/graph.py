@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import itertools
 import math
 import os
 import pickle
@@ -13,6 +14,8 @@ import threading
 from array import array
 from operator import add
 from typing import NamedTuple
+
+from .errors import CommGraphError
 
 INF = math.inf
 
@@ -119,7 +122,11 @@ class Graph:
 
     @functools.cached_property
     def path_sweep(self) -> PathSweep:
-        """The all-pairs hop-distance sweep, run once per graph and shared."""
+        """The all-pairs hop-distance sweep, run once per graph and shared.
+
+        `report.run_pipeline` sets it from `sweep_beside`, which runs other
+        stages beside the sweep.
+        """
         return sweep_all_pairs(self.neighbor_ids)
 
     def edges(self):
@@ -273,10 +280,11 @@ class PathSweep(NamedTuple):
     component_count: int
 
 
-# Sources are run in blocks of this many consecutive ids, by the all-pairs
-# sweep and by Girvan-Newman's recomputes alike. The calling process and
-# each worker process hold one block's results at a time; for the sweep that
-# is 8 * SWEEP_BLOCK * N bytes of dependency vectors, about 5 MB at N = 20,000.
+# The all-pairs sweep runs its sources in blocks of this many consecutive
+# ids. The calling process and each worker process hold one block's results
+# at a time: 8 * SWEEP_BLOCK * N bytes of dependency vectors, about 5 MB at
+# N = 20,000. Girvan-Newman runs a recompute of up to this many sources in
+# the calling process and cuts a larger one into smaller blocks of its own.
 SWEEP_BLOCK = 32
 
 
@@ -312,36 +320,64 @@ def _block_passes(adjacency, block) -> list:
 
 
 def sweep_all_pairs(adjacency) -> PathSweep:
-    """Run `shortest_paths` from every source once and gather a PathSweep.
+    """Run `shortest_paths` from every source once and gather a PathSweep (`sweep_beside` with no tasks)."""
+    return sweep_beside(adjacency, ())[0]
+
+
+def sweep_beside(adjacency, tasks) -> tuple[PathSweep, list]:
+    """The all-pairs sweep, with each of `tasks` run beside it; returns the PathSweep and the tasks' results.
 
     The sources go through `block_pool` in one round, in blocks of
     SWEEP_BLOCK consecutive ids. Whether the blocks' `_source_pass`es run in
     forked workers or in this process, this process takes the blocks in
     order and adds each node's dependency terms one by one in ascending
     source order, in one loop, so the result is the same bit for bit.
+
+    Each of `tasks`, a function of no arguments, is one more block of the
+    same round, after the source blocks and in the order given, so a worker
+    that has sent its last source block runs it while this process is still
+    adding. A task that raises CommGraphError returns the error as its
+    result, in a worker and in this process alike: an error crosses the pipe
+    as a value, and the caller raises it where the task's stage runs. Any
+    other exception in a worker ends the worker, and the round raises
+    RuntimeError as for a failed source block.
     """
     n = len(adjacency)
+    blocks = [range(lo, min(lo + SWEEP_BLOCK, n)) for lo in range(0, n, SWEEP_BLOCK)]
+
+    def kernel(adjacency, block):
+        if isinstance(block, range):
+            return _block_passes(adjacency, block)
+        try:
+            return tasks[block]()
+        except CommGraphError as exc:
+            return exc
+
     rows = []
     dependency = [0.0] * n
-    with block_pool(adjacency, _block_passes, "all-pairs sweep") as run_round:
-        for passes in run_round([range(lo, min(lo + SWEEP_BLOCK, n)) for lo in range(0, n, SWEEP_BLOCK)]):
+    with block_pool(adjacency, kernel, "all-pairs sweep") as run_round:
+        results = run_round(blocks + list(range(len(tasks))))
+        for passes in itertools.islice(results, len(blocks)):
             for fields, delta in passes:
                 rows.append(fields)
                 dependency = list(map(add, dependency, delta))
+        done = list(results)
     reach, totals, harmonic, eccentricity, roots = zip(*rows) if rows else ((),) * 5
-    return PathSweep(reach, totals, harmonic, tuple(dependency), max(eccentricity, default=0), sum(roots))
+    sweep = PathSweep(reach, totals, harmonic, tuple(dependency), max(eccentricity, default=0), sum(roots))
+    return sweep, done
 
 
 @contextlib.contextmanager
 def block_pool(adjacency, kernel, task: str):
     """Yield `run_round(blocks, removed=())`: `kernel(adjacency, block)` for each of `blocks`, in rounds.
 
-    The caller cuts the blocks: runs of at most SWEEP_BLOCK sources for the
-    sweep and for Girvan-Newman's recomputes, whole components for
-    Girvan-Newman's tail. A round returns an iterator over the blocks'
-    results in block order; it must be read to its end before the next
-    round starts. `removed` lists the edges (u, v) the caller has deleted
-    from `adjacency` since the last round.
+    The caller cuts the blocks, and its kernel tells them apart: runs of
+    SWEEP_BLOCK sources and then the tasks run beside them for the sweep
+    (`sweep_beside`), runs of 16 sources for Girvan-Newman's recomputes and
+    whole components for its tail. A round returns an iterator over the
+    blocks' results in block order; it must be read to its end before the
+    next round starts. `removed` lists the edges (u, v) the caller has
+    deleted from `adjacency` since the last round.
 
     Forked processes, one per usable CPU and never more than the blocks of
     all the nodes, live until the `with` ends. Each holds its own copy of
@@ -362,6 +398,10 @@ def block_pool(adjacency, kernel, task: str):
     Only worker k holds pipe k's write end, so a worker that dies ends its
     pipe early, and the round raises RuntimeError naming `task` and the
     block that did not arrive, or the worker when it died between rounds.
+    A kernel that raises in a worker ends it the same way; an error that
+    must keep its own type and text is returned as the block's result
+    instead, and the caller raises it (`sweep_beside`). In this process a
+    kernel's exception propagates from the round as it is.
     On any exception every worker is killed and reaped; otherwise each
     reads the end of its round pipe and exits.
     """

@@ -9,16 +9,17 @@ source files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, rank_top_k
+from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, pagerank, rank_top_k
 from .community import Dendrogram, GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
-from .errors import DegenerateGraphError, UndefinedModularityError, warn
-from .graph import Graph, Partition, left_sum
+from .errors import DegenerateGraphError, UndefinedModularityError, value_or_raise, warn
+from .graph import Graph, Partition, left_sum, sweep_beside
 from .ingest import CleaningLog, load_dataset, weight_text
 from .metrics import MetricsReport, global_metrics
 
@@ -243,6 +244,13 @@ def run_pipeline(
     reads every weight as 1 unless `weighted`, and when it is the only work
     the report's graph is that unit-weight copy. `top_k` (at least 1) and
     `damping` (in (0, 1)) are checked by the CLI parser, before any input is read.
+
+    The centralities need the all-pairs sweep, which runs first, through
+    `graph.sweep_beside`. PageRank, and Louvain when it is asked for, run as
+    more tasks of the sweep's one round, so they use a CPU that the sweep's
+    last blocks leave idle. Their results are taken where the stages run
+    in the order above, and an error either returned is raised there, so
+    stderr and the exit code are those of a run in one process.
     """
     if not set(stages) <= set(STAGES) or "report" in stages and not {"centralities", "louvain"} <= set(stages):
         raise ValueError(f"stages {tuple(stages)}: each one of {STAGES}, and 'report' needs the first two")
@@ -271,9 +279,20 @@ def run_pipeline(
     if detecting and set(stages) <= {"louvain", "gn"}:
         loaded = communities  # the output reads labels only; let the weighted graph go before Louvain
 
+    beside = {}  # stage -> its result, for the stages run beside the all-pairs sweep
+    if "centralities" in stages:
+        tasks = {"pagerank": functools.partial(pagerank, loaded, damping=damping)}
+        if "louvain" in stages:
+            tasks["louvain"] = functools.partial(louvain, communities)
+        loaded.path_sweep, results = sweep_beside(loaded.neighbor_ids, list(tasks.values()))
+        beside = dict(zip(tasks, results))
+
     metrics = global_metrics(loaded) if reporting else None
-    vectors = all_centralities(loaded, damping=damping) if "centralities" in stages else None
-    dendrogram = louvain(communities) if "louvain" in stages else None
+    vectors = all_centralities(loaded, damping=damping, ranks=beside["pagerank"]) if beside else None
+    if "louvain" in beside:
+        dendrogram = value_or_raise(beside["louvain"])
+    else:
+        dendrogram = louvain(communities) if "louvain" in stages else None
     gn_trace = girvan_newman(communities) if "gn" in stages else None
     correlation = pearson_correlation_matrix([vectors[m] for m in MEASURES], spearman) if reporting else None
     rankings = {m: rank_top_k(vectors[m], top_k, loaded) for m in MEASURES} if reporting else None

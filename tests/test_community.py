@@ -342,7 +342,8 @@ def _component_of(adjacency, s):
 
 def test_girvan_newman_work_is_pinned(cpus):
     # on one CPU every BFS runs in this process. GN labels components once,
-    # evaluates Q once plus once per split, and runs one BFS per recomputed
+    # sums Q's terms once over every community and once per split over its
+    # two sides, and runs one BFS per recomputed
     # source. In a recompute of one block the reach BFS from u (and from v on
     # a split) is the first of them; a recompute of more blocks runs every
     # source afresh, after the reach BFS. The tail's components run through
@@ -371,9 +372,9 @@ def test_girvan_newman_work_is_pinned(cpus):
         assert (blocked > 0) == (g.node_count > SWEEP_BLOCK)
 
         with pytest.MonkeyPatch.context() as mp:
-            counts = _count_calls(mp, community_module, ["components", "_modularity_kernel", "shortest_paths"])
+            counts = _count_calls(mp, community_module, ["components", "_modularity_terms", "shortest_paths"])
             assert girvan_newman(g) == oracle
-        assert counts == {"components": 1, "_modularity_kernel": 1 + splits, "shortest_paths": bfs}
+        assert counts == {"components": 1, "_modularity_terms": 1 + splits, "shortest_paths": bfs}
 
 
 # -------------------------------------------- girvan-newman process count
@@ -536,9 +537,9 @@ def test_a_worker_failing_in_a_later_round_makes_girvan_newman_raise(cpus, monke
 
     monkeypatch.setattr(pickle, "load", counting_load)
     cpus(2)
-    with pytest.raises(RuntimeError, match=r"^Girvan-Newman: block 0 of 2 did not arrive; its worker process failed$"):
+    with pytest.raises(RuntimeError, match=r"^Girvan-Newman: block 0 of 3 did not arrive; its worker process failed$"):
         girvan_newman(g)
-    assert len(arrived) == 2  # both blocks of the first round
+    assert len(arrived) == 3  # the three 16-source blocks of the first round
 
 
 def test_a_worker_failing_in_a_later_round_makes_main_exit_2(cpus, monkeypatch, capsys, tmp_path):
@@ -548,7 +549,7 @@ def test_a_worker_failing_in_a_later_round_makes_main_exit_2(cpus, monkeypatch, 
     assert main([*argv, "--gn-out", str(tmp_path / "gn.csv")]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("commgraph: internal error: Girvan-Newman: block 0 of 2 did not arrive")
+    assert err.startswith("commgraph: internal error: Girvan-Newman: block 0 of 3 did not arrive")
     assert list(tmp_path.iterdir()) == []
 
 
