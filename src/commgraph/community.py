@@ -122,6 +122,21 @@ def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
     return left_sum(_modularity_terms(agg, assignment, range(len(assignment))))
 
 
+def _split_terms(agg: AggregateGraph, terms: list[float], assignment, u: int, v: int) -> None:
+    """Update `terms`, Q's terms by community id, once u's community has split into u's side and v's side.
+
+    `assignment` is the canonical partition after the split. The side that
+    holds the old community's smallest member keeps its id; the other takes
+    its place in canonical order. Only their two terms change, summed over
+    their members in ascending id, so `left_sum(terms)` has the bits of
+    `_modularity_kernel` over `assignment`.
+    """
+    kept, new = sorted((assignment[u], assignment[v]))
+    changed = _modularity_terms(agg, assignment, [w for w, c in enumerate(assignment) if c == kept or c == new])
+    terms[kept] = changed[kept]
+    terms.insert(new, changed[new])
+
+
 def modularity(g: Graph, p: Partition) -> float:
     """Partition quality on [-1, 1]; `g` has at least one edge and `p` covers every node of `g`."""
     return _modularity_kernel(AggregateGraph.from_graph(g), p.assignment)
@@ -402,7 +417,7 @@ def girvan_newman(g: Graph) -> GNTrace:
     maximum wins. A removal that splits nothing keeps the partition, so its
     Q is the previous Q: components are labelled once. Q is kept as one
     term per community (`_modularity_terms`), all summed once; a split
-    sums again only the terms of its two sides, over their members, and Q
+    sums again only the terms of its two sides (`_split_terms`), and Q
     adds the terms in community id order, so each Q has
     `_modularity_kernel`'s bits without a pass over the whole graph. `g`
     needs at least one edge.
@@ -455,13 +470,7 @@ def girvan_newman(g: Graph) -> GNTrace:
             for w in split:
                 label[w] = part.community_count
             part = Partition.from_assignment(label)
-            # the side holding the old community's smallest member keeps its id; the other takes its place in
-            # canonical order. Only their two terms change, and Q adds every term again, as the kernel does
-            ids = part.assignment
-            kept, new = sorted(ids[w] for w in ends[k])
-            changed = _modularity_terms(original, ids, [w for w, c in enumerate(ids) if c == kept or c == new])
-            terms[kept] = changed[kept]
-            terms.insert(new, changed[new])
+            _split_terms(original, terms, part.assignment, *ends[k])
             q = left_sum(terms)
             if q > best_q:
                 best_partition, best_q = part, q

@@ -26,7 +26,7 @@ from commgraph.community import (
     partition_to_csv,
     _modularity_kernel,
 )
-from commgraph.graph import SWEEP_BLOCK, Memo, NodeRecord, Partition, collapse_edges, components
+from commgraph.graph import SWEEP_BLOCK, Memo, NodeRecord, Partition, collapse_edges, components, left_sum
 from commgraph.ingest import load_dataset
 from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
 from conftest import edge_betweenness, make_graph, recording_forks
@@ -375,6 +375,36 @@ def test_girvan_newman_work_is_pinned(cpus):
             counts = _count_calls(mp, community_module, ["components", "_modularity_terms", "shortest_paths"])
             assert girvan_newman(g) == oracle
         assert counts == {"components": 1, "_modularity_terms": 1 + splits, "shortest_paths": bfs}
+
+
+def test_q_from_the_two_sides_of_each_split_has_the_kernels_bits():
+    # GN keeps Q as one term per community and, at a split, sums again only the
+    # two sides' terms. Removing random edges from planted 4x15 graphs, every
+    # partition's Q must have the bits of the kernel's pass over the whole
+    # graph; half the graphs carry non-dyadic weights, whose sums depend on
+    # the order of their terms
+    rng = random.Random(2002)
+    partitions = 0
+    for seed in range(30):
+        planted, _ = gen_planted_partition(4, 15, 0.3, 0.05, seed=seed)
+        pairs = [(u, v) for u, v, _ in planted.edges()]
+        weights = [rng.randint(1, 9) / rng.choice((3, 7, 10)) if seed % 2 else None for _ in pairs]
+        g, _, _ = collapse_edges(planted.records, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+        agg = AggregateGraph.from_graph(g)
+        adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
+        part = components(adjacency)
+        terms = community_module._modularity_terms(agg, part.assignment, range(g.node_count))
+        rng.shuffle(pairs)
+        for u, v in pairs:
+            adjacency[u].remove(v)
+            adjacency[v].remove(u)
+            after = components(adjacency)
+            if after.community_count > part.community_count:
+                part = after
+                community_module._split_terms(agg, terms, part.assignment, u, v)
+            assert left_sum(terms).hex() == _modularity_kernel(agg, part.assignment).hex()
+            partitions += 1
+    assert partitions > 5000
 
 
 # -------------------------------------------- girvan-newman process count

@@ -280,6 +280,72 @@ def test_a_20000_link_alias_chain_resolves_in_linear_time(tmp_path):
     assert len(aliases) == n and set(aliases.values()) == {f"n{n}"}
 
 
+def timed(fn):
+    """`fn()` and the seconds it took; an IngestError it raises is returned as its text."""
+    start = time.perf_counter()
+    try:
+        result = fn()
+    except IngestError as exc:
+        result = str(exc)
+    return result, time.perf_counter() - start
+
+
+# Ingest's worst cases, each about 0.2 s or less on a 2-CPU host: work
+# quadratic in the field length, rows or labels would take minutes to hours
+
+
+def test_labels_of_131072_characters_load_in_linear_time(tmp_path):
+    # the longest field csv accepts, as tabs and spaces to collapse, in a file whose control character makes
+    # ingest search every row for marks
+    long = ["".join(f"L{v}{' ' if k % 2 else chr(9)}" for k in range(65536))[:131072] for v in range(4)]
+    rows = "".join(f'"{label}",B{v}\n' for v, label in enumerate(long))
+    e = write(tmp_path, "e.csv", f"source,target\n{rows}C\x01,D\n")
+    (g, log), seconds = timed(lambda: load_dataset(e))
+    assert seconds < 2.0
+    assert log.rows_rejected == [(6, "control character U+0001")]
+    assert {label for label in g.labels if len(label) > 2} == {" ".join(label.split()) for label in long}
+
+
+def test_80000_rejected_rows_load_in_linear_time(tmp_path):
+    reasons = ["A", ",B", "A,", "A,B,x", "A\x02,B"]
+    e = write(tmp_path, "e.csv", "source,target,weight\n" + "".join(f"{reasons[i % 5]}\n" for i in range(80_000)))
+    (g, log), seconds = timed(lambda: load_dataset(e))
+    assert seconds < 2.0
+    assert g.node_count == 0 and len(log.rows_rejected) == 80_000
+
+
+def test_10000_case_and_space_variants_of_one_label_load_in_linear_time(tmp_path):
+    base = "tehran university of medical sciences"
+    letters = [pos for pos, c in enumerate(base) if c != " "][:14]
+
+    def variant(i):
+        chars = [c.upper() if pos in letters and i >> letters.index(pos) & 1 else c for pos, c in enumerate(base)]
+        return " " * (i % 3) + "".join(chars).replace(" ", " " * (1 + i % 2))
+
+    e = write(tmp_path, "e.csv", "source,target\n" + "".join(f"{variant(i)},n{i}\n" for i in range(10_000)))
+    (g, log), seconds = timed(lambda: load_dataset(e))
+    assert seconds < 2.0
+    assert g.node_count == 10_001 and len(log.labels_merged) == 9_999
+
+
+# 80,000 rows over 2,000 pairs of 2,000 nodes, then the row that fails: the error paths re-read every row
+RING_ROWS = "".join(f"n{i % 2000},n{(7 * i + 1) % 2000},1\n" for i in range(80_000))
+
+
+def test_the_weight_ratio_error_after_80000_rows_comes_in_linear_time(tmp_path):
+    e = write(tmp_path, "e.csv", f"source,target,weight\nh0,h1,1e300\n{RING_ROWS}z0,z1,1e-200\n")
+    message, seconds = timed(lambda: load_dataset(e))
+    assert seconds < 2.0
+    assert message.startswith(f"{e}: line 80003: the collapsed weight 1e-200 of 'z0' and 'z1' is more than 2**500")
+
+
+def test_the_overflow_error_after_80000_rows_comes_in_linear_time(tmp_path):
+    e = write(tmp_path, "e.csv", f"source,target,weight\n{RING_ROWS}z0,z1,1e308\nz1,z0,1e308\n")
+    message, seconds = timed(lambda: load_dataset(e))
+    assert seconds < 2.0
+    assert message == f"{e}: line 80003: weight 1e+308 makes the collapsed weight of 'z1' and 'z0' overflow"
+
+
 PARSERS = {"edge": parse_edge_csv, "node": lambda p: parse_node_csv(p, CleaningLog()), "alias": parse_alias_csv}
 
 

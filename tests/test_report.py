@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import os
+import pickle
 import random
 import re
+import signal
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,7 +17,7 @@ import pytest
 from commgraph.centrality import MEASURES, CentralityVector, all_centralities
 from commgraph.cli import build_parser, main
 from commgraph.community import louvain
-from commgraph.errors import CommGraphError
+from commgraph.errors import CommGraphError, ConvergenceError
 from commgraph.graph import Partition
 from commgraph.ingest import edges_to_csv, load_dataset
 from commgraph.report import (
@@ -26,8 +31,8 @@ from commgraph.report import (
     run_pipeline,
     write_outputs,
 )
-from commgraph.synth import gen_ring_of_cliques
-from conftest import import_graph_json, make_graph
+from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
+from conftest import import_graph_json, make_graph, recording_forks
 from oracles import export_gexf_reference
 
 SAMPLE_COLLAB = Path(__file__).resolve().parent.parent / "data" / "sample" / "collab"
@@ -405,3 +410,83 @@ def test_communities_writes_no_file_when_girvan_newman_fails(dataset, tmp_path, 
     assert capsys.readouterr().err == "commgraph: error: girvan-newman failed\n"
     assert not part.exists()
     assert not trace.exists()
+
+
+# ------------------------------------------- stages beside the sweep
+
+
+@pytest.fixture
+def planted_files(tmp_path):
+    """`gen_planted_partition(4, 30, 0.2, 0.01, seed=1)` as an edge CSV, and a node CSV adding one isolated node.
+
+    The 121 nodes make four sweep blocks, so with two CPUs PageRank and
+    Louvain run in forked workers, after the source blocks.
+    """
+    g, _ = gen_planted_partition(4, 30, 0.2, 0.01, seed=1)
+    edges, nodes = tmp_path / "edges.csv", tmp_path / "nodes.csv"
+    edges.write_text(edges_to_csv(g), encoding="utf-8")
+    nodes.write_text("label\n" + "".join(f"{label}\n" for label in (*g.labels, "Lonely")), encoding="utf-8")
+    return edges, nodes
+
+
+def test_an_error_of_a_stage_beside_the_sweep_exits_1_as_in_one_process(cpus, planted_files, monkeypatch, capsys):
+    # PageRank's error comes back from its worker as a value and is raised where PageRank runs, after
+    # closeness's warning; raised in the worker, it ended the worker and the run exited 2
+    import commgraph.centrality as centrality_module
+
+    edges, nodes = planted_files
+    monkeypatch.setattr(centrality_module, "PAGERANK_MAX_ITER", 3)
+    runs = {}
+    for count in (1, 2):
+        forks = recording_forks(monkeypatch)
+        cpus(count)
+        runs[count] = (main(["analyze", "--edges", str(edges), "--nodes", str(nodes)]), *capsys.readouterr())
+        assert len(forks) == (count if count > 1 else 0)
+    assert runs[2] == runs[1]
+    assert runs[1] == (
+        1,
+        "",
+        "commgraph: warning: closeness of 1 isolated nodes reported as 0 (first: 'Lonely')\n"
+        "commgraph: error: pagerank did not reach tol=1e-09 within 3 iterations\n",
+    )
+
+
+def test_a_convergence_error_keeps_its_residual_through_a_pipe():
+    exc = pickle.loads(pickle.dumps(ConvergenceError("pagerank did not converge", 0.25)))
+    assert (type(exc), str(exc), exc.residual) == (ConvergenceError, "pagerank did not converge", 0.25)
+
+
+def test_a_worker_killed_beside_the_sweep_makes_main_exit_2(cpus, planted_files, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def killed_in_a_worker(g, damping):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("PageRank ran in the calling process")
+
+    monkeypatch.setattr("commgraph.report.pagerank", killed_in_a_worker)
+    cpus(2)
+    assert main(["analyze", "--edges", str(planted_files[0])]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # four source blocks, then PageRank and Louvain
+    assert err.startswith("commgraph: internal error: all-pairs sweep: block 4 of 6 did not arrive")
+
+
+def test_the_whole_pipeline_is_identical_with_any_process_count(cpus, planted_files, monkeypatch, tmp_path):
+    # the sweep's pool runs PageRank and Louvain too, and Girvan-Newman forks its own: no third pool
+    argv = ["analyze", "--edges", str(planted_files[0]), "--validate-gn", "--export", "gexf,dot,json"]
+    runs = {}
+    for count in (1, 2, 3):
+        forks = recording_forks(monkeypatch)
+        cpus(count)
+        out = tmp_path / f"cpus{count}"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main([*argv, "--out", str(out)]) == 0
+        runs[count] = (err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(forks) == (2 * min(count, 4) if count > 1 else 0)
+    assert set(runs[1][1]) == {
+        "report.json", "centrality.csv", "communities.csv", "gn_trace.csv", "graph.gexf", "graph.dot", "graph.json"
+    }
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
