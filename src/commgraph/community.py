@@ -400,7 +400,7 @@ def girvan_newman(g: Graph) -> GNTrace:
     vectors in block order. Each edge's score has a full recompute's terms,
     summed per block, which the tie rule absorbs (module docstring). Blocks
     of half the in-process limit deal a recompute more evenly: 90 sources
-    go 48/42 to two workers, where blocks of 32 went 58/32.
+    go 48/42 to two workers, and would go 58/32 in blocks of 32.
 
     Once no component has more than SWEEP_BLOCK nodes, a removal changes
     only its own component's scores, so each component's removals depend
