@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import contextlib
 import csv
-import io
 import json
 import os
 import pickle
@@ -431,7 +429,7 @@ def planted_files(tmp_path):
 
 def test_an_error_of_a_stage_beside_the_sweep_exits_1_as_in_one_process(cpus, planted_files, monkeypatch, capsys):
     # PageRank's error comes back from its worker as a value and is raised where PageRank runs, after
-    # closeness's warning; raised in the worker, it ended the worker and the run exited 2
+    # closeness's warning; raised in the worker, it would end the worker and the run would exit 2
     import commgraph.centrality as centrality_module
 
     edges, nodes = planted_files
@@ -473,7 +471,7 @@ def test_a_worker_killed_beside_the_sweep_makes_main_exit_2(cpus, planted_files,
     assert err.startswith("commgraph: internal error: all-pairs sweep: block 4 of 6 did not arrive")
 
 
-def test_the_whole_pipeline_is_identical_with_any_process_count(cpus, planted_files, monkeypatch, tmp_path):
+def test_the_whole_pipeline_is_identical_with_any_process_count(cpus, planted_files, monkeypatch, capsys, tmp_path):
     # the sweep's pool runs PageRank and Louvain too, and Girvan-Newman forks its own: no third pool
     argv = ["analyze", "--edges", str(planted_files[0]), "--validate-gn", "--export", "gexf,dot,json"]
     runs = {}
@@ -481,9 +479,8 @@ def test_the_whole_pipeline_is_identical_with_any_process_count(cpus, planted_fi
         forks = recording_forks(monkeypatch)
         cpus(count)
         out = tmp_path / f"cpus{count}"
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            assert main([*argv, "--out", str(out)]) == 0
-        runs[count] = (err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert main([*argv, "--out", str(out)]) == 0
+        runs[count] = (capsys.readouterr(), {p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(forks) == (2 * min(count, 4) if count > 1 else 0)
     assert set(runs[1][1]) == {
         "report.json", "centrality.csv", "communities.csv", "gn_trace.csv", "graph.gexf", "graph.dot", "graph.json"
