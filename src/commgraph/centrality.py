@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, value_or_raise, warn
+from .errors import ConvergenceError
 from .graph import Graph, left_sum
 from .ingest import csv_text
 
@@ -57,25 +57,15 @@ def betweenness_centrality(g: Graph) -> CentralityVector:
 
 
 def closeness_centrality(g: Graph) -> CentralityVector:
+    """Wasserman-Faust closeness; a node that reaches no other scores 0.
+
+    It writes nothing: `report.run_pipeline` warns of the isolated nodes
+    before the centralities run.
+    """
     n = g.node_count
     sweep = g.path_sweep
-    scores = []
-    isolated = []
-    for v in range(n):
-        total = sweep.distance_totals[v]
-        if total == 0:
-            if g.degree(v) == 0:
-                isolated.append(v)
-            scores.append(0.0)
-            continue
-        reach = sweep.reach[v]
-        scores.append((reach / total) * (reach / (n - 1)))
-    if isolated:
-        warn(
-            f"commgraph: warning: closeness of {len(isolated)} isolated nodes reported as 0"
-            f" (first: {g.labels[isolated[0]]!r})"
-        )
-    return CentralityVector("closeness", tuple(scores))
+    pairs = zip(sweep.reach, sweep.distance_totals)
+    return CentralityVector("closeness", tuple((r / t) * (r / (n - 1)) if t else 0.0 for r, t in pairs))
 
 
 def harmonic_centrality(g: Graph) -> CentralityVector:
@@ -118,19 +108,18 @@ def rank_top_k(vec: CentralityVector, k: int, g: Graph) -> list[tuple[str, float
     return [(g.labels[v], vec.scores[v]) for v in order[:k]]
 
 
-def all_centralities(g: Graph, damping: float = 0.85, ranks=None) -> dict[str, CentralityVector]:
+def all_centralities(g: Graph, ranks: CentralityVector) -> dict[str, CentralityVector]:
     """All five normalized measures, keyed in canonical MEASURES order.
 
-    `ranks` is PageRank's result when it already ran beside the sweep: its
-    vector, or the error it returned, which is raised here, in PageRank's
-    place after closeness's warning.
+    `ranks` is PageRank's vector: `run_pipeline` runs `pagerank` beside the
+    all-pairs sweep, and a caller with no such pool passes `pagerank(g)`.
     """
     return {
         "degree": degree_centrality(g),
         "betweenness": betweenness_centrality(g),
         "closeness": closeness_centrality(g),
         "harmonic": harmonic_centrality(g),
-        "pagerank": pagerank(g, damping=damping) if ranks is None else value_or_raise(ranks),
+        "pagerank": ranks,
     }
 
 

@@ -5,6 +5,10 @@ IngestError for the files, and `report.run_pipeline` raises
 DegenerateGraphError or UndefinedModularityError for a graph too small
 for the stages asked of it. The stage functions do not check again.
 Warnings that do not stop a run go to stderr through `warn`.
+
+A stage run in a forked worker (`graph.block_pool`) may raise its error
+there: the pool pickles it through a pipe and raises it again in the
+calling process, with its own type and text, so every error here pickles.
 """
 
 import sys
@@ -18,18 +22,6 @@ def warn(message: str) -> None:
     not import `logging`, whose import every CLI call would pay for.
     """
     sys.stderr.write(message + "\n")
-
-
-def value_or_raise(result):
-    """`result`, unless it is a CommGraphError that a task handed back as its value: raise that instead.
-
-    A stage that runs beside the all-pairs sweep (`graph.sweep_beside`)
-    returns its error rather than raising it, so that the error can cross a
-    pipe; its caller passes the result through here where the stage runs.
-    """
-    if isinstance(result, CommGraphError):
-        raise result
-    return result
 
 
 class CommGraphError(Exception):

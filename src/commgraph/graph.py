@@ -122,12 +122,12 @@ class Graph:
 
     @functools.cached_property
     def path_sweep(self) -> PathSweep:
-        """The all-pairs hop-distance sweep, run once per graph and shared.
+        """The all-pairs hop-distance sweep, run once per graph and shared: `sweep_beside` with no tasks.
 
-        `report.run_pipeline` sets it from `sweep_beside`, which runs other
-        stages beside the sweep.
+        `report.run_pipeline` sets it itself, from a `sweep_beside` that runs
+        other stages beside the sweep.
         """
-        return sweep_all_pairs(self.neighbor_ids)
+        return sweep_beside(self.neighbor_ids, ())[0]
 
     def edges(self):
         """Yield (u, v, weight) with u < v, ascending."""
@@ -314,16 +314,6 @@ def _source_pass(adjacency, s: int):
     return (len(order) - 1, total, h, dist[order[-1]], min(order) == s), array("d", delta)
 
 
-def _block_passes(adjacency, block) -> list:
-    """The sweep's block result: each source's `_source_pass`, in source order."""
-    return [_source_pass(adjacency, s) for s in block]
-
-
-def sweep_all_pairs(adjacency) -> PathSweep:
-    """Run `shortest_paths` from every source once and gather a PathSweep (`sweep_beside` with no tasks)."""
-    return sweep_beside(adjacency, ())[0]
-
-
 def sweep_beside(adjacency, tasks) -> tuple[PathSweep, list]:
     """The all-pairs sweep, with each of `tasks` run beside it; returns the PathSweep and the tasks' results.
 
@@ -336,22 +326,16 @@ def sweep_beside(adjacency, tasks) -> tuple[PathSweep, list]:
     Each of `tasks`, a function of no arguments, is one more block of the
     same round, after the source blocks and in the order given, so a worker
     that has sent its last source block runs it while this process is still
-    adding. A task that raises CommGraphError returns the error as its
-    result, in a worker and in this process alike: an error crosses the pipe
-    as a value, and the caller raises it where the task's stage runs. Any
-    other exception in a worker ends the worker, and the round raises
-    RuntimeError as for a failed source block.
+    adding. A task's CommGraphError is raised from here, with its own type
+    and text, when the round reaches its block (see `block_pool`).
     """
     n = len(adjacency)
     blocks = [range(lo, min(lo + SWEEP_BLOCK, n)) for lo in range(0, n, SWEEP_BLOCK)]
 
     def kernel(adjacency, block):
         if isinstance(block, range):
-            return _block_passes(adjacency, block)
-        try:
-            return tasks[block]()
-        except CommGraphError as exc:
-            return exc
+            return [_source_pass(adjacency, s) for s in block]
+        return tasks[block]()
 
     rows = []
     dependency = [0.0] * n
@@ -395,13 +379,14 @@ def block_pool(adjacency, kernel, task: str):
     counting frees them all. A worker exits when the pool ends. This
     process keeps its collector as it was.
 
-    Only worker k holds pipe k's write end, so a worker that dies ends its
-    pipe early, and the round raises RuntimeError naming `task` and the
-    block that did not arrive, or the worker when it died between rounds.
-    A kernel that raises in a worker ends it the same way; an error that
-    must keep its own type and text is returned as the block's result
-    instead, and the caller raises it (`sweep_beside`). In this process a
-    kernel's exception propagates from the round as it is.
+    A kernel's CommGraphError crosses the pipe: its worker sends the error
+    as the block's result, and the round raises it, with its own type and
+    text, when it reads that block, as it would from a kernel run in this
+    process. Only worker k holds pipe k's write end, so a worker that dies
+    ends its pipe early, and the round raises RuntimeError naming `task`
+    and the block that did not arrive, or the worker when it died between
+    rounds. Any other exception of a kernel in a worker ends the worker the
+    same way; in this process it propagates from the round as it is.
     On any exception every worker is killed and reaped; otherwise each
     reads the end of its round pipe and exits.
     """
@@ -455,6 +440,8 @@ def block_pool(adjacency, kernel, task: str):
                     raise RuntimeError(
                         f"{task}: block {b} of {count} did not arrive; its worker process failed"
                     ) from None
+                if isinstance(result, CommGraphError):
+                    raise result
                 yield result
 
         yield run_round
@@ -472,7 +459,10 @@ def block_pool(adjacency, kernel, task: str):
 
 
 def _serve_rounds(adjacency, kernel, k: int, workers: int, inbox, out) -> None:
-    """Worker k's loop: per round, delete the removed edges, then pickle blocks k, k + workers, ... to `out`."""
+    """Worker k's loop: per round, delete the removed edges, then pickle blocks k, k + workers, ... to `out`.
+
+    A kernel's CommGraphError is pickled as its block's result (see `block_pool`).
+    """
     while True:
         try:
             removed, blocks = pickle.load(inbox)
@@ -482,5 +472,9 @@ def _serve_rounds(adjacency, kernel, k: int, workers: int, inbox, out) -> None:
             adjacency[u].remove(v)
             adjacency[v].remove(u)
         for block in blocks[k::workers]:
-            pickle.dump(kernel(adjacency, block), out)
+            try:
+                result = kernel(adjacency, block)
+            except CommGraphError as exc:
+                result = exc
+            pickle.dump(result, out)
             out.flush()

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import __version__
 from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, pagerank, rank_top_k
 from .community import Dendrogram, GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
-from .errors import DegenerateGraphError, UndefinedModularityError, value_or_raise, warn
+from .errors import DegenerateGraphError, UndefinedModularityError, warn
 from .graph import Graph, Partition, left_sum, sweep_beside
 from .ingest import CleaningLog, load_dataset, weight_text
 from .metrics import MetricsReport, global_metrics
@@ -239,7 +239,10 @@ def run_pipeline(
     given. Once ingest is done, rejected edge rows and unknown node kinds
     go to stderr, one warning line each; then a graph too small for the
     stages is refused before any of them runs (DegenerateGraphError or
-    UndefinedModularityError), and the stages do not check again.
+    UndefinedModularityError), and the stages do not check again. Last,
+    when the centralities are asked for, one line names the isolated nodes,
+    whose closeness is 0; the stages themselves write no warning but the
+    correlation's.
     Metrics and centralities read hop distances only; community detection
     reads every weight as 1 unless `weighted`, and when it is the only work
     the report's graph is that unit-weight copy. `top_k` (at least 1) and
@@ -248,9 +251,9 @@ def run_pipeline(
     The centralities need the all-pairs sweep, which runs first, through
     `graph.sweep_beside`. PageRank, and Louvain when it is asked for, run as
     more tasks of the sweep's one round, so they use a CPU that the sweep's
-    last blocks leave idle. Their results are taken where the stages run
-    in the order above, and an error either returned is raised there, so
-    stderr and the exit code are those of a run in one process.
+    last blocks leave idle. An error of either is raised from the sweep
+    with its own type and text, so stderr and the exit code are those of a
+    run in one process.
     """
     if not set(stages) <= set(STAGES) or "report" in stages and not {"centralities", "louvain"} <= set(stages):
         raise ValueError(f"stages {tuple(stages)}: each one of {STAGES}, and 'report' needs the first two")
@@ -275,6 +278,12 @@ def run_pipeline(
         raise DegenerateGraphError("normalized degree needs at least 2 nodes")
     if detecting and loaded.edge_count == 0:
         raise UndefinedModularityError("modularity is undefined with zero total edge weight")
+    isolated = [v for v in range(loaded.node_count) if not loaded.degree(v)] if "centralities" in stages else []
+    if isolated:  # their closeness is 0
+        warn(
+            f"commgraph: warning: closeness of {len(isolated)} isolated nodes reported as 0"
+            f" (first: {loaded.labels[isolated[0]]!r})"
+        )
     communities = (loaded if weighted else loaded.unweighted()) if detecting else None
     if detecting and set(stages) <= {"louvain", "gn"}:
         loaded = communities  # the output reads labels only; let the weighted graph go before Louvain
@@ -288,9 +297,9 @@ def run_pipeline(
         beside = dict(zip(tasks, results))
 
     metrics = global_metrics(loaded) if reporting else None
-    vectors = all_centralities(loaded, damping=damping, ranks=beside["pagerank"]) if beside else None
+    vectors = all_centralities(loaded, beside["pagerank"]) if beside else None
     if "louvain" in beside:
-        dendrogram = value_or_raise(beside["louvain"])
+        dendrogram = beside["louvain"]
     else:
         dendrogram = louvain(communities) if "louvain" in stages else None
     gn_trace = girvan_newman(communities) if "gn" in stages else None

@@ -10,7 +10,7 @@ two-stage ingest that lists every row before resolving any label, and
 `sweep_all_pairs_reference`, the one-process all-pairs loop; they are the
 references for the component-local recompute and the cached sweep in
 `commgraph.community`, for the one-pass `commgraph.ingest.load_dataset` and
-for the block-folded `commgraph.graph.sweep_all_pairs`.
+for the block-folded `commgraph.graph.sweep_beside`.
 `parse_alias_csv_reference` walks every alias chain from its start, the
 reference for the one-pass resolver of `commgraph.ingest.parse_alias_csv`.
 `export_gexf_reference` builds the GEXF as an ElementTree, the reference

@@ -315,12 +315,19 @@ def test_rejected_edge_rows_are_named_on_stderr(argv, tmp_path, monkeypatch, cap
 @pytest.mark.parametrize(
     "argv, never",
     [
-        (["communities"], ["report.girvan_newman", "graph.sweep_all_pairs", "report._digest"]),
+        (["communities"], ["report.girvan_newman", "report.sweep_beside", "graph.sweep_beside", "report._digest"]),
         (
             ["export", "--weighted", "--format", "json"],
-            ["report.louvain", "graph.sweep_all_pairs", "report._digest", "graph.Graph.unweighted"],
+            [
+                "report.louvain",
+                "report.girvan_newman",
+                "report.sweep_beside",
+                "graph.sweep_beside",
+                "report._digest",
+                "graph.Graph.unweighted",
+            ],
         ),
-        (["centrality"], ["report.louvain", "report._digest"]),
+        (["centrality"], ["report.louvain", "report.girvan_newman", "report._digest"]),
     ],
     ids=["communities", "export-weighted", "centrality"],
 )
@@ -397,6 +404,7 @@ _DEGENERATE_EDGES = {
     "one-self-loop": "source,target\nA,A\n",
     "two-self-loops": "source,target\nA,A\nB,B\n",
     "one-edge": "source,target\nA,B\n",
+    "one-edge-one-isolated": "source,target\nA,B\nC,C\n",
 }
 # each takes its output path last
 _EDGE_COMMANDS = {
@@ -418,13 +426,21 @@ _REFUSALS = {
     "one-self-loop": (_ONE_NODE, _ONE_NODE, _ONE_NODE, _NO_EDGE, _NO_EDGE, None, _ONE_NODE),
     "two-self-loops": (_NO_EDGE, _NO_EDGE, None, _NO_EDGE, _NO_EDGE, None, _NO_EDGE),
     "one-edge": (None,) * 7,
+    "one-edge-one-isolated": (None,) * 7,
 }
 _ZERO_VARIANCE = "commgraph: warning: zero variance in 10 correlation pairs, reported as null (first: degree/betweenness)"
-# the warnings of a run that exits 0, beyond the rejected-rows line
+_ISOLATED_C = "commgraph: warning: closeness of 1 isolated nodes reported as 0 (first: 'C')"
+_ISOLATED_C_ZERO_VARIANCE = "commgraph: warning: zero variance in 4 correlation pairs, reported as null (first: degree/betweenness)"
+# the warnings of a run that exits 0, beyond the rejected-rows line; the isolated-node
+# line comes once from each command that computes the centralities, and from no other
 _STAGE_WARNINGS = {
-    ("two-self-loops", "centrality"): "commgraph: warning: closeness of 2 isolated nodes reported as 0 (first: 'A')",
-    ("one-edge", "analyze"): _ZERO_VARIANCE,
-    ("one-edge", "analyze-gn"): _ZERO_VARIANCE,
+    ("two-self-loops", "centrality"): ["commgraph: warning: closeness of 2 isolated nodes reported as 0 (first: 'A')"],
+    ("one-edge", "analyze"): [_ZERO_VARIANCE],
+    ("one-edge", "analyze-gn"): [_ZERO_VARIANCE],
+    ("one-edge-one-isolated", "analyze"): [_ISOLATED_C, _ISOLATED_C_ZERO_VARIANCE],
+    ("one-edge-one-isolated", "analyze-gn"): [_ISOLATED_C, _ISOLATED_C_ZERO_VARIANCE],
+    ("one-edge-one-isolated", "centrality"): [_ISOLATED_C],
+    ("one-edge-one-isolated", "export-analytics"): [_ISOLATED_C],
 }
 
 
@@ -446,7 +462,7 @@ def test_degenerate_graph_is_refused_before_any_stage_runs(case, command, tmp_pa
     rc = main([*_EDGE_COMMANDS[command], str(out), "--edges", str(edges)])
     captured = capsys.readouterr()
     lines = [f"commgraph: warning: {edges}: 2 rows rejected (first: line 2: empty target)"] if case == "all-rejected" else []
-    lines += [_STAGE_WARNINGS[case, command]] if (case, command) in _STAGE_WARNINGS else []
+    lines += _STAGE_WARNINGS.get((case, command), [])
     if refusal is None:
         assert rc == 0
     else:

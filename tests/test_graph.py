@@ -13,6 +13,7 @@ import pytest
 
 import commgraph.graph as graph_module
 from commgraph.cli import main
+from commgraph.errors import ConvergenceError
 from commgraph.graph import (
     SWEEP_BLOCK,
     Memo,
@@ -22,7 +23,7 @@ from commgraph.graph import (
     components,
     left_sum,
     shortest_paths,
-    sweep_all_pairs,
+    sweep_beside,
 )
 from commgraph.ingest import load_dataset
 from commgraph.synth import gen_planted_partition
@@ -272,7 +273,7 @@ def test_sweep_is_bit_identical_with_any_process_count(cpus, monkeypatch, name, 
     adjacency = SWEEP_GRAPHS[name]().neighbor_ids
     forks = recording_forks(monkeypatch)
     cpus(count)
-    got = sweep_all_pairs(adjacency)
+    got = sweep_beside(adjacency, ())[0]
     want = sweep_all_pairs_reference(adjacency)
     assert got == want
     assert [x.hex() for x in got.dependency + got.harmonic] == [x.hex() for x in want.dependency + want.harmonic]
@@ -309,7 +310,7 @@ def test_a_graph_of_one_block_never_forks(cpus, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     cpus(3)
     adjacency = SWEEP_GRAPHS["path of one block"]().neighbor_ids
-    assert sweep_all_pairs(adjacency) == sweep_all_pairs_reference(adjacency)
+    assert sweep_beside(adjacency, ())[0] == sweep_all_pairs_reference(adjacency)
 
 
 # The planted partition has four blocks; a source in the first, second and
@@ -320,7 +321,7 @@ def test_a_failing_worker_makes_the_sweep_raise_and_write_nothing(cpus, monkeypa
     failing_at(monkeypatch, source, ValueError("kernel failed"))
     block = source // SWEEP_BLOCK
     with pytest.raises(RuntimeError, match=rf"^all-pairs sweep: block {block} of 4 did not arrive; its worker"):
-        sweep_all_pairs(SWEEP_GRAPHS["planted partition"]().neighbor_ids)
+        sweep_beside(SWEEP_GRAPHS["planted partition"]().neighbor_ids, ())
     assert capfd.readouterr() == ("", "")
 
 
@@ -351,7 +352,28 @@ def test_a_worker_killed_mid_sweep_makes_the_sweep_raise(cpus, monkeypatch, send
     monkeypatch.setattr(pickle, "dump", dump_cut_short)
     cpus(2)
     with pytest.raises(RuntimeError, match=r"^all-pairs sweep: block 1 of 4 did not arrive"):
-        sweep_all_pairs(SWEEP_GRAPHS["planted partition"]().neighbor_ids)
+        sweep_beside(SWEEP_GRAPHS["planted partition"]().neighbor_ids, ())
+
+
+def converging_but_block_2(adjacency, block):
+    if block == 2:
+        raise ConvergenceError("block 2 did not converge", 0.25)
+    return block
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_stage_error_in_a_later_block_crosses_the_pool_as_raised(cpus, monkeypatch, count):
+    # an error that ended its worker would make the round raise RuntimeError instead
+    adjacency = SWEEP_GRAPHS["planted partition"]().neighbor_ids  # four blocks: two workers on two CPUs
+    forks = recording_forks(monkeypatch)
+    cpus(count)
+    got = []
+    with pytest.raises(ConvergenceError) as exc:
+        with graph_module.block_pool(adjacency, converging_but_block_2, "convergence probe") as run_round:
+            got.extend(run_round(range(4)))
+    assert (type(exc.value), str(exc.value), exc.value.residual) == (ConvergenceError, "block 2 did not converge", 0.25)
+    assert got == [0, 1]
+    assert len(forks) == (2 if count == 2 else 0)
 
 
 def test_a_failing_worker_makes_main_exit_2(cpus, monkeypatch, capsys):
@@ -404,7 +426,7 @@ def test_an_interrupted_sweep_kills_and_reaps_its_workers(cpus, monkeypatch):
     monkeypatch.setattr(os, "waitpid", recording_waitpid)
     cpus(3)
     with pytest.raises(KeyboardInterrupt):
-        sweep_all_pairs(SWEEP_GRAPHS["planted partition"]().neighbor_ids)
+        sweep_beside(SWEEP_GRAPHS["planted partition"]().neighbor_ids, ())
     assert len(reads) == 2 and len(forked) == 3
     assert killed == [(pid, signal.SIGKILL) for pid in forked]
     assert reaped == forked

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from commgraph.centrality import MEASURES, CentralityVector, all_centralities
+from commgraph.centrality import MEASURES, CentralityVector, all_centralities, pagerank
 from commgraph.cli import build_parser, main
 from commgraph.community import louvain
 from commgraph.errors import CommGraphError, ConvergenceError
@@ -82,7 +82,7 @@ def test_spearman_is_rank_based():
 
 def test_correlation_symmetric_exactly():
     g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-    vectors = list(all_centralities(g).values())
+    vectors = list(all_centralities(g, pagerank(g)).values())
     m = pearson_correlation_matrix(vectors)
     for i in range(5):
         assert m[i][i] == pytest.approx(1.0)
@@ -121,7 +121,7 @@ def test_gexf_single_community(triangle):
 
 
 def test_gexf_each_node_and_edge_once(barbell):
-    scores = list(all_centralities(barbell).values())
+    scores = list(all_centralities(barbell, pagerank(barbell)).values())
     text = export_gexf(barbell, louvain(barbell).final_partition, scores)
     root = ET.fromstring(text)
     node_ids = [n.get("id") for n in root.findall(f".//{{{GEXF_NS}}}node")]
@@ -428,8 +428,8 @@ def planted_files(tmp_path):
 
 
 def test_an_error_of_a_stage_beside_the_sweep_exits_1_as_in_one_process(cpus, planted_files, monkeypatch, capsys):
-    # PageRank's error comes back from its worker as a value and is raised where PageRank runs, after
-    # closeness's warning; raised in the worker, it would end the worker and the run would exit 2
+    # PageRank's error crosses the sweep's pool with its type and text, after closeness's warning, which the
+    # pipeline writes before the sweep; had it ended its worker, the run would exit 2
     import commgraph.centrality as centrality_module
 
     edges, nodes = planted_files
