@@ -89,52 +89,23 @@ class AggregateGraph:
         return left_sum(left_sum(w for _, w in nbrs) for nbrs in self.adjacency) / 2 + left_sum(self.self_loops)
 
 
-def _modularity_terms(agg: AggregateGraph, assignment, nodes) -> list[float]:
-    """Each community's term e_c/m - (d_c/2m)^2 of Q, by community id, summed over `nodes` only.
-
-    A community's intra weight e_c and degree d_c are summed over its
-    members in `nodes`, in the order given, each member's edges in adjacency
-    order. A community with every member in `nodes`, given in ascending id,
-    gets the term that the whole graph's sum gives it; any other term is
-    partial. `agg` has at least one edge, so m > 0, and `assignment` covers
-    every node of `agg`.
-    """
-    m = agg.total_weight
-    count = max(assignment) + 1 if assignment else 0
-    intra = [0.0] * count
-    degree = [0.0] * count
-    degrees, self_loops, adjacency = agg.degrees, agg.self_loops, agg.adjacency
-    for v in nodes:
-        c = assignment[v]
-        degree[c] += degrees[v]
-        intra[c] += self_loops[v]
-        for u, w in adjacency[v]:
-            if assignment[u] == c and u < v:
-                intra[c] += w
-    return [e / m - (d / (2 * m)) ** 2 for e, d in zip(intra, degree)]
-
-
 def _modularity_kernel(agg: AggregateGraph, assignment) -> float:
     """Q = sum_c [ e_c/m - (d_c/2m)^2 ] over the given community assignment, added in community id order.
 
     `agg` has at least one edge, so m > 0, and `assignment` covers every node of `agg`.
     """
-    return left_sum(_modularity_terms(agg, assignment, range(len(assignment))))
-
-
-def _split_terms(agg: AggregateGraph, terms: list[float], assignment, u: int, v: int) -> None:
-    """Update `terms`, Q's terms by community id, once u's community has split into u's side and v's side.
-
-    `assignment` is the canonical partition after the split. The side that
-    holds the old community's smallest member keeps its id; the other takes
-    its place in canonical order. Only their two terms change, summed over
-    their members in ascending id, so `left_sum(terms)` has the bits of
-    `_modularity_kernel` over `assignment`.
-    """
-    kept, new = sorted((assignment[u], assignment[v]))
-    changed = _modularity_terms(agg, assignment, [w for w, c in enumerate(assignment) if c == kept or c == new])
-    terms[kept] = changed[kept]
-    terms.insert(new, changed[new])
+    m = agg.total_weight
+    count = max(assignment) + 1 if assignment else 0
+    intra = [0.0] * count
+    degree = [0.0] * count
+    for v, k in enumerate(agg.degrees):
+        c = assignment[v]
+        degree[c] += k
+        intra[c] += agg.self_loops[v]
+        for u, w in agg.adjacency[v]:
+            if assignment[u] == c and u < v:
+                intra[c] += w
+    return left_sum(e / m - (d / (2 * m)) ** 2 for e, d in zip(intra, degree))
 
 
 def modularity(g: Graph, p: Partition) -> float:
@@ -415,12 +386,8 @@ def girvan_newman(g: Graph) -> GNTrace:
     Candidate partitions are the connected components of the pruned graph;
     their modularity is always evaluated on the original graph. The earliest
     maximum wins. A removal that splits nothing keeps the partition, so its
-    Q is the previous Q: components are labelled once. Q is kept as one
-    term per community (`_modularity_terms`), all summed once; a split
-    sums again only the terms of its two sides (`_split_terms`), and Q
-    adds the terms in community id order, so each Q has
-    `_modularity_kernel`'s bits without a pass over the whole graph. `g`
-    needs at least one edge.
+    Q is the previous Q: components are labelled once, and Q is evaluated
+    once plus once per split. `g` needs at least one edge.
     """
     original = AggregateGraph.from_graph(g)
     adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
@@ -458,8 +425,7 @@ def girvan_newman(g: Graph) -> GNTrace:
         removed.clear()
 
     part = components(adjacency)
-    terms = _modularity_terms(original, part.assignment, range(g.node_count))  # by community id
-    q = left_sum(terms)
+    q = _modularity_kernel(original, part.assignment)
     best_partition, best_q = part, q
     removals: list[tuple[tuple[int, int], float]] = []
 
@@ -470,8 +436,7 @@ def girvan_newman(g: Graph) -> GNTrace:
             for w in split:
                 label[w] = part.community_count
             part = Partition.from_assignment(label)
-            _split_terms(original, terms, part.assignment, *ends[k])
-            q = left_sum(terms)
+            q = _modularity_kernel(original, part.assignment)
             if q > best_q:
                 best_partition, best_q = part, q
         removals.append((ends[k], q))

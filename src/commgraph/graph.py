@@ -20,19 +20,6 @@ from .errors import CommGraphError
 INF = math.inf
 
 
-def canonical_label(label: str) -> str:
-    """Trim, collapse internal whitespace, and case-fold a node label.
-
-    Two labels denote the same node iff their canonical forms are equal.
-    """
-    return " ".join(label.split()).casefold()
-
-
-def display_label(label: str) -> str:
-    """Trim and collapse internal whitespace, keeping the original case."""
-    return " ".join(label.split())
-
-
 def left_sum(values):
     """Add `values` one by one from the left, starting at int 0.
 

@@ -28,12 +28,25 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import IngestError
-from .graph import Graph, Memo, NodeRecord, canonical_label, collapse_edges, display_label
+from .graph import Graph, Memo, NodeRecord, collapse_edges
 
 INSTITUTION_KINDS = ("public", "medical", "technical", "other")
 # Louvain scales the largest weight into [1, 2); within this ratio the product
 # of any two scaled weights is still a normal float, so no weight flushes to 0
 MAX_WEIGHT_RATIO = 2.0**500
+
+
+def canonical_label(label: str) -> str:
+    """Trim, collapse internal whitespace, and case-fold a node label.
+
+    Two labels denote the same node iff their canonical forms are equal.
+    """
+    return " ".join(label.split()).casefold()
+
+
+def display_label(label: str) -> str:
+    """Trim and collapse internal whitespace, keeping the original case."""
+    return " ".join(label.split())
 
 
 class RawEdgeRow(NamedTuple):

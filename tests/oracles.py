@@ -44,10 +44,8 @@ from commgraph.graph import (
     NodeRecord,
     Partition,
     PathSweep,
-    canonical_label,
     collapse_edges,
     components,
-    display_label,
     left_sum,
 )
 from commgraph.ingest import (
@@ -58,6 +56,8 @@ from commgraph.ingest import (
     _CONTROL,
     CleaningLog,
     _row_error,
+    canonical_label,
+    display_label,
     parse_alias_csv,
     parse_node_csv,
 )

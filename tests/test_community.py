@@ -26,7 +26,7 @@ from commgraph.community import (
     partition_to_csv,
     _modularity_kernel,
 )
-from commgraph.graph import SWEEP_BLOCK, Memo, NodeRecord, Partition, collapse_edges, components, left_sum
+from commgraph.graph import SWEEP_BLOCK, Memo, NodeRecord, Partition, collapse_edges, components
 from commgraph.ingest import load_dataset
 from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
 from conftest import edge_betweenness, make_graph, recording_forks
@@ -287,11 +287,26 @@ def _cycle(n, base=0):
     return [(base + i, base + (i + 1) % n) for i in range(n)]
 
 
+def _torus_beside_path():
+    """A 6x6 torus (ids 0-35) beside a 32-node path (36-67): 68 nodes, 103 edges.
+
+    The path's edges score highest, so GN's first three removals cut it
+    while the 36-node torus still has more than SWEEP_BLOCK nodes. Each of
+    them is rescored in this process, and the next pool round, the torus's
+    first recompute, carries the path's three removed edges to the workers
+    with the torus's own; the path's pieces then reach the tail's blocks.
+    """
+    torus = [(r * 6 + c, r * 6 + (c + 1) % 6) for r in range(6) for c in range(6)]
+    torus += [(r * 6 + c, (r + 1) % 6 * 6 + c) for r in range(6) for c in range(6)]
+    return _numbered_graph(68, torus + [(i, i + 1) for i in range(36, 67)])
+
+
 def _gn_differential_graphs():
     """Tie-heavy shapes, disconnected unions with isolates, and random graphs.
 
-    A ring of six 6-cliques and a planted partition of 40 nodes have more
-    than one block of sources, so their recomputes add block sums.
+    A ring of six 6-cliques, a planted partition of 40 nodes and a torus
+    beside a path (`_torus_beside_path`) have more than one block of
+    sources, so their recomputes add block sums.
     """
     graphs = [_numbered_graph(n, _cycle(n)) for n in (4, 6, 8, 10, 12)]
     graphs += [gen_ring_of_cliques(k, s)[0] for k, s in ((3, 3), (4, 4), (5, 3), (3, 5), (6, 6))]
@@ -306,6 +321,7 @@ def _gn_differential_graphs():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         if pairs:
             graphs.append(_numbered_graph(n, pairs))
+    graphs.append(_torus_beside_path())
     return graphs
 
 
@@ -342,8 +358,7 @@ def _component_of(adjacency, s):
 
 def test_girvan_newman_work_is_pinned(cpus):
     # on one CPU every BFS runs in this process. GN labels components once,
-    # sums Q's terms once over every community and once per split over its
-    # two sides, and runs one BFS per recomputed
+    # evaluates Q once plus once per split, and runs one BFS per recomputed
     # source. In a recompute of one block the reach BFS from u (and from v on
     # a split) is the first of them; a recompute of more blocks runs every
     # source afresh, after the reach BFS. The tail's components run through
@@ -372,39 +387,9 @@ def test_girvan_newman_work_is_pinned(cpus):
         assert (blocked > 0) == (g.node_count > SWEEP_BLOCK)
 
         with pytest.MonkeyPatch.context() as mp:
-            counts = _count_calls(mp, community_module, ["components", "_modularity_terms", "shortest_paths"])
+            counts = _count_calls(mp, community_module, ["components", "_modularity_kernel", "shortest_paths"])
             assert girvan_newman(g) == oracle
-        assert counts == {"components": 1, "_modularity_terms": 1 + splits, "shortest_paths": bfs}
-
-
-def test_q_from_the_two_sides_of_each_split_has_the_kernels_bits():
-    # GN keeps Q as one term per community and, at a split, sums again only the
-    # two sides' terms. Removing random edges from planted 4x15 graphs, every
-    # partition's Q must have the bits of the kernel's pass over the whole
-    # graph; half the graphs carry non-dyadic weights, whose sums depend on
-    # the order of their terms
-    rng = random.Random(2002)
-    partitions = 0
-    for seed in range(30):
-        planted, _ = gen_planted_partition(4, 15, 0.3, 0.05, seed=seed)
-        pairs = [(u, v) for u, v, _ in planted.edges()]
-        weights = [rng.randint(1, 9) / rng.choice((3, 7, 10)) if seed % 2 else None for _ in pairs]
-        g, _, _ = collapse_edges(planted.records, [(u, v, w) for (u, v), w in zip(pairs, weights)])
-        agg = AggregateGraph.from_graph(g)
-        adjacency = [list(nbrs) for nbrs in g.neighbor_ids]
-        part = components(adjacency)
-        terms = community_module._modularity_terms(agg, part.assignment, range(g.node_count))
-        rng.shuffle(pairs)
-        for u, v in pairs:
-            adjacency[u].remove(v)
-            adjacency[v].remove(u)
-            after = components(adjacency)
-            if after.community_count > part.community_count:
-                part = after
-                community_module._split_terms(agg, terms, part.assignment, u, v)
-            assert left_sum(terms).hex() == _modularity_kernel(agg, part.assignment).hex()
-            partitions += 1
-    assert partitions > 5000
+        assert counts == {"components": 1, "_modularity_kernel": 1 + splits, "shortest_paths": bfs}
 
 
 # -------------------------------------------- girvan-newman process count
@@ -434,6 +419,8 @@ GN_GRAPHS = {
     "planted N = 120": lambda: gen_planted_partition(4, 30, 0.2, 0.01, seed=1)[0],
     # its tail is eight identical cliques, whose scores tie exactly across components
     "ring of 8 cliques of 6": lambda: gen_ring_of_cliques(8, 6)[0],
+    # removals rescored in this process stay pending until the next pool round
+    "torus beside a path": _torus_beside_path,
 }
 
 

@@ -11,9 +11,9 @@ import hypothesis.strategies as st
 import pytest
 
 from commgraph.errors import IngestError
-from commgraph.graph import canonical_label
 from commgraph.ingest import (
     CleaningLog,
+    canonical_label,
     edges_to_csv,
     load_dataset,
     parse_alias_csv,

@@ -94,12 +94,8 @@ def test_modularity_of_louvain_partition(pair):
     assert modularity(g, partition) == pytest.approx(want, abs=1e-12)
 
 
-# Seed 1 at step 164 and seed 2 at steps 132, 147 and 156 hold edges of equal
-# betweenness whose float sums differ in the last place; an exact argmax
-# removed the larger pair first there.
-@pytest.mark.parametrize("seed", [1, 2])
-def test_girvan_newman_replays_every_removal(seed):
-    g, _ = gen_planted_partition(4, 20, 0.25, 0.02, seed)
+def replay_girvan_newman(g) -> None:
+    """Replay `girvan_newman(g)` on networkx: each removal is its max-betweenness edge, each Q its modularity."""
     ref = nx.Graph()
     ref.add_nodes_from(range(g.node_count))
     ref.add_edges_from((u, v) for u, v, _ in g.edges())
@@ -116,3 +112,11 @@ def test_girvan_newman_replays_every_removal(seed):
         if not nx.has_path(ref, u, v):  # only a split changes the components, and so Q
             want = nx.community.modularity(original, nx.connected_components(ref))
         assert q == pytest.approx(want, abs=1e-12)
+
+
+# Seed 1 at step 164 and seed 2 at steps 132, 147 and 156 hold edges of equal
+# betweenness whose float sums differ in the last place; an exact argmax
+# removed the larger pair first there.
+@pytest.mark.parametrize("seed", [1, 2])
+def test_girvan_newman_replays_every_removal(seed):
+    replay_girvan_newman(gen_planted_partition(4, 20, 0.25, 0.02, seed)[0])
