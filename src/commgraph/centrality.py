@@ -1,13 +1,13 @@
 """The five node-centrality measures and their ranking/serialization helpers.
 
 The hop-distance consumers (betweenness, closeness, harmonic, and the path
-metrics in `metrics`) share one BFS per source: `Graph.path_sweep` runs
-`graph.shortest_paths` from every node once, caches what all four need, and
-each consumer only normalizes its part. The sweep deals blocks of
-`graph.SWEEP_BLOCK` consecutive sources to one forked process per usable
-CPU, which sends each block back whole. The calling process alone adds
-the blocks' dependency vectors, in ascending source order, so the scores
-are the same bits whatever the process count.
+metrics in `metrics`) share one BFS per source: `graph.sweep_beside` runs
+`graph.shortest_paths` from every node once and returns what all four need
+as a `PathSweep`. Each consumer is given it and only normalizes its part.
+The sweep deals blocks of `graph.SWEEP_BLOCK` consecutive sources to one
+forked process per usable CPU, which sends each block back whole. The
+calling process alone adds the blocks' dependency vectors, in ascending
+source order, so the scores are the same bits whatever the process count.
 
 Conventions (all for undirected unweighted traversal, all normalized):
     degree       deg(v)/(N-1)
@@ -25,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError
-from .graph import Graph, left_sum
+from .graph import Graph, PathSweep, left_sum
 from .ingest import csv_text
 
 MEASURES = ("degree", "betweenness", "closeness", "harmonic", "pagerank")
@@ -46,32 +46,30 @@ def degree_centrality(g: Graph) -> CentralityVector:
     return CentralityVector("degree", tuple(g.degree(v) / (n - 1) for v in range(n)))
 
 
-def betweenness_centrality(g: Graph) -> CentralityVector:
+def betweenness_centrality(g: Graph, sweep: PathSweep) -> CentralityVector:
     """Brandes single-source accumulation; never enumerates paths."""
     n = g.node_count
     denom = (n - 1) * (n - 2) / 2
     if denom <= 0:
         return CentralityVector("betweenness", (0.0,) * n)
     # each unordered pair is counted from both endpoints
-    return CentralityVector("betweenness", tuple(x / 2 / denom for x in g.path_sweep.dependency))
+    return CentralityVector("betweenness", tuple(x / 2 / denom for x in sweep.dependency))
 
 
-def closeness_centrality(g: Graph) -> CentralityVector:
+def closeness_centrality(g: Graph, sweep: PathSweep) -> CentralityVector:
     """Wasserman-Faust closeness; a node that reaches no other scores 0.
 
     It writes nothing: `report.run_pipeline` warns of the isolated nodes
     before the centralities run.
     """
     n = g.node_count
-    sweep = g.path_sweep
     pairs = zip(sweep.reach, sweep.distance_totals)
     return CentralityVector("closeness", tuple((r / t) * (r / (n - 1)) if t else 0.0 for r, t in pairs))
 
 
-def harmonic_centrality(g: Graph) -> CentralityVector:
+def harmonic_centrality(g: Graph, sweep: PathSweep) -> CentralityVector:
     n = g.node_count
-    totals = g.path_sweep.harmonic
-    return CentralityVector("harmonic", tuple(total / (n - 1) if n > 1 else total for total in totals))
+    return CentralityVector("harmonic", tuple(total / (n - 1) if n > 1 else total for total in sweep.harmonic))
 
 
 def pagerank(g: Graph, damping: float = 0.85) -> CentralityVector:
@@ -108,17 +106,18 @@ def rank_top_k(vec: CentralityVector, k: int, g: Graph) -> list[tuple[str, float
     return [(g.labels[v], vec.scores[v]) for v in order[:k]]
 
 
-def all_centralities(g: Graph, ranks: CentralityVector) -> dict[str, CentralityVector]:
+def all_centralities(g: Graph, sweep: PathSweep, ranks: CentralityVector) -> dict[str, CentralityVector]:
     """All five normalized measures, keyed in canonical MEASURES order.
 
-    `ranks` is PageRank's vector: `run_pipeline` runs `pagerank` beside the
-    all-pairs sweep, and a caller with no such pool passes `pagerank(g)`.
+    `sweep` is `g`'s all-pairs sweep and `ranks` PageRank's vector:
+    `run_pipeline` gets both from one `sweep_beside`, with `pagerank` run
+    beside the sweep.
     """
     return {
         "degree": degree_centrality(g),
-        "betweenness": betweenness_centrality(g),
-        "closeness": closeness_centrality(g),
-        "harmonic": harmonic_centrality(g),
+        "betweenness": betweenness_centrality(g, sweep),
+        "closeness": closeness_centrality(g, sweep),
+        "harmonic": harmonic_centrality(g, sweep),
         "pagerank": ranks,
     }
 

@@ -107,15 +107,6 @@ class Graph:
         """Weight-free adjacency: `neighbor_ids[u]` lists u's neighbors by ascending id."""
         return tuple(tuple(n for n, _ in nbrs) for nbrs in self.adjacency)
 
-    @functools.cached_property
-    def path_sweep(self) -> PathSweep:
-        """The all-pairs hop-distance sweep, run once per graph and shared: `sweep_beside` with no tasks.
-
-        `report.run_pipeline` sets it itself, from a `sweep_beside` that runs
-        other stages beside the sweep.
-        """
-        return sweep_beside(self.neighbor_ids, ())[0]
-
     def edges(self):
         """Yield (u, v, weight) with u < v, ascending."""
         for u, nbrs in enumerate(self.adjacency):

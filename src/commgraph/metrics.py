@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph, left_sum
+from .graph import Graph, PathSweep, left_sum
 
 
 class MetricsReport(NamedTuple):
@@ -34,16 +34,15 @@ def local_clustering(g: Graph, v: int) -> float:
     return links / (deg * (deg - 1) / 2)
 
 
-def global_metrics(g: Graph) -> MetricsReport:
+def global_metrics(g: Graph, sweep: PathSweep) -> MetricsReport:
     """The full attribute bundle for a graph with at least one node.
 
     Path statistics cover unordered reachable pairs only; with no reachable
     pair at all (edgeless or single-node graphs) both the average path length
-    and the diameter report 0. They and the component count come from the
-    graph's shared `path_sweep`, which the path centralities read too.
+    and the diameter report 0. They and the component count come from
+    `sweep`, `g`'s all-pairs sweep, which the path centralities read too.
     """
     n = g.node_count
-    sweep = g.path_sweep
     # the per-source totals count each unordered reachable pair from both ends
     dist_sum = sum(sweep.distance_totals) // 2
     pair_count = sum(sweep.reach) // 2

@@ -249,11 +249,12 @@ def run_pipeline(
     `damping` (in (0, 1)) are checked by the CLI parser, before any input is read.
 
     The centralities need the all-pairs sweep, which runs first, through
-    `graph.sweep_beside`. PageRank, and Louvain when it is asked for, run as
-    more tasks of the sweep's one round, so they use a CPU that the sweep's
-    last blocks leave idle. An error of either is raised from the sweep
-    with its own type and text, so stderr and the exit code are those of a
-    run in one process.
+    `graph.sweep_beside`; its `PathSweep` is passed to the global metrics
+    and the centralities. PageRank, and Louvain when it is asked for, run
+    as more tasks of the sweep's one round, so they use a CPU that the
+    sweep's last blocks leave idle. An error of either is raised from the
+    sweep with its own type and text, so stderr and the exit code are those
+    of a run in one process.
     """
     if not set(stages) <= set(STAGES) or "report" in stages and not {"centralities", "louvain"} <= set(stages):
         raise ValueError(f"stages {tuple(stages)}: each one of {STAGES}, and 'report' needs the first two")
@@ -288,18 +289,15 @@ def run_pipeline(
     if detecting and set(stages) <= {"louvain", "gn"}:
         loaded = communities  # the output reads labels only; let the weighted graph go before Louvain
 
-    beside = {}  # stage -> its result, for the stages run beside the all-pairs sweep
+    metrics = vectors = None
     if "centralities" in stages:
-        tasks = {"pagerank": functools.partial(pagerank, loaded, damping=damping)}
+        tasks = [functools.partial(pagerank, loaded, damping=damping)]
         if "louvain" in stages:
-            tasks["louvain"] = functools.partial(louvain, communities)
-        loaded.path_sweep, results = sweep_beside(loaded.neighbor_ids, list(tasks.values()))
-        beside = dict(zip(tasks, results))
-
-    metrics = global_metrics(loaded) if reporting else None
-    vectors = all_centralities(loaded, beside["pagerank"]) if beside else None
-    if "louvain" in beside:
-        dendrogram = beside["louvain"]
+            tasks.append(functools.partial(louvain, communities))
+        sweep, (ranks, *beside) = sweep_beside(loaded.neighbor_ids, tasks)
+        metrics = global_metrics(loaded, sweep) if reporting else None
+        vectors = all_centralities(loaded, sweep, ranks)
+        dendrogram = beside[0] if beside else None
     else:
         dendrogram = louvain(communities) if "louvain" in stages else None
     gn_trace = girvan_newman(communities) if "gn" in stages else None

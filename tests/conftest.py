@@ -10,7 +10,7 @@ import pytest
 import commgraph.centrality as centrality_module
 from commgraph.community import _edge_dependencies, _edge_index
 from commgraph.errors import ConvergenceError
-from commgraph.graph import NodeRecord, Partition, collapse_edges
+from commgraph.graph import NodeRecord, Partition, collapse_edges, sweep_beside
 
 
 def make_graph(n: int, pairs, weights=None):
@@ -20,6 +20,11 @@ def make_graph(n: int, pairs, weights=None):
         weights = [None] * len(pairs)
     g, _, _ = collapse_edges(records, [(u, v, w) for (u, v), w in zip(pairs, weights)])
     return g
+
+
+def sweep_of(g):
+    """`g`'s all-pairs sweep, the `PathSweep` that `run_pipeline` passes on: `sweep_beside` with no tasks."""
+    return sweep_beside(g.neighbor_ids, ())[0]
 
 
 def communities(p: Partition) -> list[list[int]]:

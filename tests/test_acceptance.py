@@ -29,7 +29,7 @@ from commgraph.graph import NodeRecord, Partition, collapse_edges
 from commgraph.metrics import global_metrics
 from commgraph.report import report_to_json, run_pipeline
 from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
-from conftest import edge_betweenness, make_graph, pagerank_iterates
+from conftest import edge_betweenness, make_graph, pagerank_iterates, sweep_of
 from oracles import (
     betweenness_by_enumeration,
     closeness_from_distances,
@@ -52,7 +52,7 @@ def test_criterion_1_table_scale_arithmetic():
     edges += [(i, i + 2, None) for i in range(138)]
     g, _, _ = collapse_edges(recs, edges)
     start = time.perf_counter()
-    rep = global_metrics(g)
+    rep = global_metrics(g, sweep_of(g))
     elapsed = time.perf_counter() - start
     assert rep.node_count == 183 and rep.edge_count == 320
     assert abs(rep.average_degree - 3.4973) <= 1e-4
@@ -75,11 +75,12 @@ def test_criterion_3_centrality_oracle_equivalence():
     for _ in range(200):
         g = random_graph(rng)
         n = g.node_count
+        sweep = sweep_of(g)
         pairs = [
             (degree_centrality(g).scores, [g.degree(v) / (n - 1) for v in range(n)]),
-            (betweenness_centrality(g).scores, betweenness_by_enumeration(g)),
-            (closeness_centrality(g).scores, closeness_from_distances(g)),
-            (harmonic_centrality(g).scores, harmonic_from_distances(g)),
+            (betweenness_centrality(g, sweep).scores, betweenness_by_enumeration(g)),
+            (closeness_centrality(g, sweep).scores, closeness_from_distances(g)),
+            (harmonic_centrality(g, sweep).scores, harmonic_from_distances(g)),
             (pagerank(g).scores, pagerank_power_iteration(g)),
         ]
         for got, want in pairs:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -20,7 +19,7 @@ from commgraph.centrality import (
     rank_top_k,
 )
 from commgraph.graph import NodeRecord, collapse_edges
-from conftest import make_graph, pagerank_iterates
+from conftest import make_graph, pagerank_iterates, sweep_of
 from oracles import (
     betweenness_by_enumeration,
     closeness_from_distances,
@@ -64,16 +63,16 @@ def test_degree_raw_counts(star4):
 
 
 def test_betweenness_path_middle(path3):
-    vec = betweenness_centrality(path3)
+    vec = betweenness_centrality(path3, sweep_of(path3))
     assert vec.scores == (0.0, 1.0, 0.0)
 
 
 def test_betweenness_triangle_zero(triangle):
-    assert betweenness_centrality(triangle).scores == (0.0, 0.0, 0.0)
+    assert betweenness_centrality(triangle, sweep_of(triangle)).scores == (0.0, 0.0, 0.0)
 
 
 def test_betweenness_star_center(star4):
-    assert betweenness_centrality(star4).scores == (1.0, 0.0, 0.0, 0.0)
+    assert betweenness_centrality(star4, sweep_of(star4)).scores == (1.0, 0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------- closeness
@@ -81,25 +80,26 @@ def test_betweenness_star_center(star4):
 
 def test_closeness_path(path3):
     # distance sums 3, 2, 3, each node reaching both others
-    vec = closeness_centrality(path3)
+    vec = closeness_centrality(path3, sweep_of(path3))
     assert vec.scores == (pytest.approx(2 / 3), 1.0, pytest.approx(2 / 3))
 
 
 def test_closeness_complete_graph():
-    vec = closeness_centrality(complete_graph(5))
+    g = complete_graph(5)
+    vec = closeness_centrality(g, sweep_of(g))
     assert all(s == 1.0 for s in vec.scores)
 
 
 def test_closeness_raw_is_inverse_distance_sum(path3):
     # the normalized score over N - 1 is 1 / (sum of distances)
     n = len(path3.labels)
-    raw = tuple(s / (n - 1) for s in closeness_centrality(path3).scores)
+    raw = tuple(s / (n - 1) for s in closeness_centrality(path3, sweep_of(path3)).scores)
     assert raw == (pytest.approx(1 / 3), 0.5, pytest.approx(1 / 3))
 
 
 def test_closeness_isolated_node_zero_with_warning(capsys):
     g = make_graph(3, [(0, 1)])
-    vec = closeness_centrality(g)
+    vec = closeness_centrality(g, sweep_of(g))
     assert vec.scores[2] == 0.0
     # the warning is the pipeline's (test_cli); the function itself writes nothing
     assert capsys.readouterr().err == ""
@@ -109,17 +109,18 @@ def test_closeness_isolated_node_zero_with_warning(capsys):
 
 
 def test_harmonic_path_end(path3):
-    vec = harmonic_centrality(path3)
+    vec = harmonic_centrality(path3, sweep_of(path3))
     assert vec.scores[0] == pytest.approx(1.5 / 2)
 
 
 def test_harmonic_complete_graph():
-    assert all(s == 1.0 for s in harmonic_centrality(complete_graph(4)).scores)
+    g = complete_graph(4)
+    assert all(s == 1.0 for s in harmonic_centrality(g, sweep_of(g)).scores)
 
 
 def test_harmonic_two_disjoint_edges():
     g = make_graph(4, [(0, 1), (2, 3)])
-    assert all(s == pytest.approx(1 / 3) for s in harmonic_centrality(g).scores)
+    assert all(s == pytest.approx(1 / 3) for s in harmonic_centrality(g, sweep_of(g)).scores)
 
 
 # -------------------------------------------------------------- pagerank
@@ -185,13 +186,14 @@ def test_all_measures_match_oracles_on_random_graphs():
         n = g.node_count
         deg = degree_centrality(g).scores
         assert deg == tuple(g.degree(v) / (n - 1) for v in range(n))
-        bet = betweenness_centrality(g).scores
+        sweep = sweep_of(g)
+        bet = betweenness_centrality(g, sweep).scores
         for got, want in zip(bet, betweenness_by_enumeration(g)):
             assert abs(got - want) <= 1e-9
-        clo = closeness_centrality(g).scores
+        clo = closeness_centrality(g, sweep).scores
         for got, want in zip(clo, closeness_from_distances(g)):
             assert abs(got - want) <= 1e-9
-        har = harmonic_centrality(g).scores
+        har = harmonic_centrality(g, sweep).scores
         for got, want in zip(har, harmonic_from_distances(g)):
             assert abs(got - want) <= 1e-9
         pr = pagerank(g).scores
@@ -210,8 +212,8 @@ def test_label_invariance_under_relabeling():
         for old, new in enumerate(perm):
             records[new] = NodeRecord(label=f"n{old}")
         g2, _, _ = collapse_edges(records, [(perm[u], perm[v], w) for u, v, w in g.edges()])
-        for measure, vec in all_centralities(g, pagerank(g)).items():
-            vec2 = all_centralities(g2, pagerank(g2))[measure]
+        for measure, vec in all_centralities(g, sweep_of(g), pagerank(g)).items():
+            vec2 = all_centralities(g2, sweep_of(g2), pagerank(g2))[measure]
             for old in range(n):
                 assert vec.scores[old] == pytest.approx(vec2.scores[perm[old]], abs=1e-12)
 
@@ -219,7 +221,7 @@ def test_label_invariance_under_relabeling():
 def test_vertex_transitive_graphs_are_constant():
     cycle6 = make_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     for g in (cycle6, complete_graph(5)):
-        for vec in all_centralities(g, pagerank(g)).values():
+        for vec in all_centralities(g, sweep_of(g), pagerank(g)).values():
             assert max(vec.scores) - min(vec.scores) < 1e-12
 
 
@@ -243,21 +245,24 @@ def test_rank_top_k_clamps_to_n():
 
 
 def test_centrality_csv_shape(star4):
-    text = centrality_table_csv(star4, all_centralities(star4, pagerank(star4)))
+    text = centrality_table_csv(star4, all_centralities(star4, sweep_of(star4), pagerank(star4)))
     lines = text.strip().split("\n")
     assert lines[0] == "label," + ",".join(MEASURES)
     assert len(lines) == 5
     assert lines[1].startswith("A,1,1,1,1,")  # center first by label sort
 
 
-def test_metrics_and_centralities_share_one_sweep(monkeypatch):
+def test_metrics_and_centralities_share_one_sweep(tmp_path, monkeypatch, cpus):
     import commgraph.graph as graph_module
-    from commgraph.metrics import global_metrics
+    import commgraph.report as report_module
+    from commgraph.ingest import edges_to_csv
     from commgraph.synth import gen_planted_partition
 
     g, _ = gen_planted_partition(3, 20, 0.3, 0.02, seed=5)  # N = 60: two sweep blocks
+    edge_path = tmp_path / "edges.csv"
+    edge_path.write_text(edges_to_csv(g), encoding="utf-8")
     sweeps, sources = [], []
-    sweep, kernel = graph_module.sweep_beside, graph_module.shortest_paths
+    sweep, kernel = report_module.sweep_beside, graph_module.shortest_paths
 
     def counting_sweep(adjacency, tasks):
         sweeps.append(adjacency)
@@ -267,11 +272,11 @@ def test_metrics_and_centralities_share_one_sweep(monkeypatch):
         sources.append(source)
         return kernel(adjacency, source)
 
-    monkeypatch.setattr(graph_module, "sweep_beside", counting_sweep)
+    monkeypatch.setattr(report_module, "sweep_beside", counting_sweep)
     monkeypatch.setattr(graph_module, "shortest_paths", counting)
     # forked workers' kernel calls are invisible here; one CPU keeps the sweep in this process
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    global_metrics(g)
-    all_centralities(g, pagerank(g))
+    cpus(1)
+    report = report_module.run_pipeline(edge_path, stages=("centralities", "louvain", "report"))
+    assert report.graph.node_count == g.node_count == 60
     assert len(sweeps) == 1
     assert sources == list(range(g.node_count))

@@ -15,7 +15,7 @@ from commgraph.centrality import betweenness_centrality, closeness_centrality, h
 from commgraph.community import girvan_newman, louvain, modularity
 from commgraph.metrics import global_metrics
 from commgraph.synth import gen_planted_partition
-from conftest import communities
+from conftest import communities, sweep_of
 
 nx = pytest.importorskip("networkx")
 
@@ -44,25 +44,25 @@ def test_graphs_have_isolates_and_several_components(pair):
 def test_betweenness_normalized(pair):
     g, ref = pair
     want = by_node(nx.betweenness_centrality(ref, normalized=True), g.node_count)
-    assert list(betweenness_centrality(g).scores) == pytest.approx(want, rel=1e-9, abs=1e-15)
+    assert list(betweenness_centrality(g, sweep_of(g)).scores) == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
 def test_closeness_wasserman_faust(pair):
     g, ref = pair
     want = by_node(nx.closeness_centrality(ref, wf_improved=True), g.node_count)
-    assert list(closeness_centrality(g).scores) == pytest.approx(want, rel=1e-12)
+    assert list(closeness_centrality(g, sweep_of(g)).scores) == pytest.approx(want, rel=1e-12)
 
 
 def test_harmonic_over_n_minus_one(pair):
     g, ref = pair
     n = g.node_count
     want = [x / (n - 1) for x in by_node(nx.harmonic_centrality(ref), n)]
-    assert list(harmonic_centrality(g).scores) == pytest.approx(want, rel=1e-12)
+    assert list(harmonic_centrality(g, sweep_of(g)).scores) == pytest.approx(want, rel=1e-12)
 
 
 def test_average_clustering(pair):
     g, ref = pair
-    assert global_metrics(g).average_clustering == pytest.approx(nx.average_clustering(ref), rel=1e-12)
+    assert global_metrics(g, sweep_of(g)).average_clustering == pytest.approx(nx.average_clustering(ref), rel=1e-12)
 
 
 def test_path_length_and_diameter_over_reachable_pairs(pair):
@@ -73,7 +73,7 @@ def test_path_length_and_diameter_over_reachable_pairs(pair):
         for t, d in row.items()
         if s < t
     ]
-    report = global_metrics(g)
+    report = global_metrics(g, sweep_of(g))
     assert report.diameter == max(lengths)
     assert report.average_path_length == pytest.approx(sum(lengths) / len(lengths), rel=1e-12)
     assert report.component_count == nx.number_connected_components(ref)

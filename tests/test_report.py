@@ -30,7 +30,7 @@ from commgraph.report import (
     write_outputs,
 )
 from commgraph.synth import gen_planted_partition, gen_ring_of_cliques
-from conftest import import_graph_json, make_graph, recording_forks
+from conftest import import_graph_json, make_graph, recording_forks, sweep_of
 from oracles import export_gexf_reference
 
 SAMPLE_COLLAB = Path(__file__).resolve().parent.parent / "data" / "sample" / "collab"
@@ -82,7 +82,7 @@ def test_spearman_is_rank_based():
 
 def test_correlation_symmetric_exactly():
     g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-    vectors = list(all_centralities(g, pagerank(g)).values())
+    vectors = list(all_centralities(g, sweep_of(g), pagerank(g)).values())
     m = pearson_correlation_matrix(vectors)
     for i in range(5):
         assert m[i][i] == pytest.approx(1.0)
@@ -121,7 +121,7 @@ def test_gexf_single_community(triangle):
 
 
 def test_gexf_each_node_and_edge_once(barbell):
-    scores = list(all_centralities(barbell, pagerank(barbell)).values())
+    scores = list(all_centralities(barbell, sweep_of(barbell), pagerank(barbell)).values())
     text = export_gexf(barbell, louvain(barbell).final_partition, scores)
     root = ET.fromstring(text)
     node_ids = [n.get("id") for n in root.findall(f".//{{{GEXF_NS}}}node")]
