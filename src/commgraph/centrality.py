@@ -101,8 +101,8 @@ def pagerank(g: Graph, damping: float = 0.85) -> CentralityVector:
 
 
 def rank_top_k(vec: CentralityVector, k: int, g: Graph) -> list[tuple[str, float]]:
-    """Top-k (label, score) of `g`'s nodes, descending score, ties in `g.label_order`; k is at least 1."""
-    order = sorted(g.label_order, key=lambda v: -vec.scores[v])  # a stable sort keeps label order on ties
+    """Top-k (label, score) of `g`'s nodes, descending score, ties by node id (label order); k is at least 1."""
+    order = sorted(range(g.node_count), key=lambda v: -vec.scores[v])  # a stable sort keeps id order on ties
     return [(g.labels[v], vec.scores[v]) for v in order[:k]]
 
 
@@ -123,8 +123,8 @@ def all_centralities(g: Graph, sweep: PathSweep, ranks: CentralityVector) -> dic
 
 
 def centrality_table_csv(g: Graph, vectors: dict[str, CentralityVector]) -> str:
-    """Per-node CSV, 6 significant digits, rows sorted by label."""
+    """Per-node CSV, 6 significant digits, rows in node-id order (label order; see `Graph`)."""
     return csv_text(
         ["label", *MEASURES],
-        ([g.labels[v]] + [format(vectors[m].scores[v], ".6g") for m in MEASURES] for v in g.label_order),
+        ([g.labels[v]] + [format(vectors[m].scores[v], ".6g") for m in MEASURES] for v in range(g.node_count)),
     )

@@ -15,7 +15,7 @@ from .community import gn_trace_to_csv, partition_to_csv
 from .errors import CommGraphError
 from .ingest import edges_to_csv
 from .report import EXPORT_FORMATS, export_graph, report_to_json, run_pipeline, write_outputs
-from .synth import GENERATOR_KINDS, gen_planted_partition, gen_ring_of_cliques
+from .synth import gen_planted_partition, gen_ring_of_cliques
 
 
 def _add_input_args(parser):
@@ -47,6 +47,13 @@ _EXPORTS = _checked(
 )
 
 
+# each synth kind and the flags it needs, which no other kind takes; argparse cannot tie a flag to a --kind value
+_SYNTH_PARAMS = {
+    "ring_of_cliques": ("cliques", "clique-size"),
+    "planted_partition": ("blocks", "block-size", "p-in", "p-out"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits 1, not argparse's 2, on a usage error: a bad flag is rejected input."""
 
@@ -71,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--seed", type=int, help="recorded in report metadata")
 
     synth = sub.add_parser("synth", help="emit a synthetic benchmark graph")
-    synth.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
+    synth.add_argument("--kind", required=True, choices=_SYNTH_PARAMS)
     synth.add_argument("--cliques", type=int, help="ring_of_cliques: number of cliques")
     synth.add_argument("--clique-size", type=int, help="ring_of_cliques: nodes per clique")
     synth.add_argument("--blocks", type=int, help="planted_partition: number of blocks")
@@ -155,12 +162,6 @@ def _cmd_communities(args) -> None:
         _write_or_print(gn_trace_to_csv(report.graph.labels, report.gn_trace), args.gn_out)
 
 
-# the flags each synth kind needs; argparse cannot tie a flag to a --kind value
-_SYNTH_PARAMS = {
-    "ring_of_cliques": ("cliques", "clique-size"),
-    "planted_partition": ("blocks", "block-size", "p-in", "p-out"),
-}
-
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "synth": _cmd_synth,
@@ -185,9 +186,15 @@ def main(argv=None) -> int:
     if args.command == "analyze" and args.export and args.out is None:
         parser.error("analyze --export needs --out")  # the report would go to stdout and the exports nowhere
     if args.command == "synth":
-        missing = [name for name in _SYNTH_PARAMS[args.kind] if getattr(args, name.replace("-", "_")) is None]
+        needed = _SYNTH_PARAMS[args.kind]
+        flags = [name for names in _SYNTH_PARAMS.values() for name in names]
+        given = [name for name in flags if getattr(args, name.replace("-", "_")) is not None]
+        missing = [name for name in needed if name not in given]
         if missing:
             parser.error(f"--kind {args.kind} requires --{' --'.join(missing)}")
+        foreign = [name for name in given if name not in needed]
+        if foreign:  # it would be silently ignored
+            parser.error(f"--kind {args.kind} does not take --{' --'.join(foreign)}")
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -485,8 +485,8 @@ def normalized_mutual_information(a: Partition, b: Partition) -> float:
 
 
 def partition_to_csv(g: Graph, p: Partition) -> str:
-    """`label,community` rows in canonical community ids, in `g.label_order`."""
-    return csv_text(["label", "community"], ([g.labels[v], p.assignment[v]] for v in g.label_order))
+    """`label,community` rows in canonical community ids, in node-id order (label order; see `Graph`)."""
+    return csv_text(["label", "community"], zip(g.labels, p.assignment))
 
 
 def gn_trace_to_csv(labels, trace: GNTrace) -> str:

@@ -69,6 +69,11 @@ class Graph:
     (neighbor, weight) pairs sorted by neighbor id; it is symmetric, holds no
     self-loops and at most one entry per neighbor. Two graphs are equal when
     their records, adjacency and edge counts are.
+
+    On every graph that `load_dataset` or a `synth` generator builds, ids
+    are in label order: ingest numbers nodes by canonical (case-folded)
+    label, and synth's labels are zero-padded. Every per-node table lists
+    nodes in id order, so in label order.
     """
 
     records: tuple[NodeRecord, ...]
@@ -93,12 +98,6 @@ class Graph:
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.records)
 
-    @functools.cached_property
-    def label_order(self) -> tuple[int, ...]:
-        """Node ids by case-folded label, then by label: the row order of every per-node table."""
-        labels = self.labels
-        return tuple(sorted(range(self.node_count), key=lambda v: (labels[v].casefold(), labels[v])))
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -120,25 +119,16 @@ class Graph:
         return Graph(self.records, adjacency, self.edge_count)
 
 
-class _PartitionFields(NamedTuple):
-    assignment: tuple[int, ...]
-    community_count: int
-
-
-class Partition(_PartitionFields):
+class Partition(NamedTuple):
     """Total assignment of node ids to contiguous community ids.
 
-    Always in canonical form: community ids appear in order of their
-    smallest member, so two partitions with the same blocks compare equal.
+    In canonical form, as `from_assignment` and `components` build it:
+    community ids appear in order of their smallest member, so two
+    partitions with the same blocks compare equal.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, assignment: tuple[int, ...], community_count: int) -> Partition:
-        # first appearances 0, 1, 2, ... imply contiguous ids in canonical order
-        if list(dict.fromkeys(assignment)) != list(range(community_count)):
-            raise ValueError("community ids must be 0..community_count-1 in order of first appearance")
-        return super().__new__(cls, assignment, community_count)
+    assignment: tuple[int, ...]
+    community_count: int
 
     @classmethod
     def from_assignment(cls, labels) -> Partition:

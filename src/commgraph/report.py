@@ -24,7 +24,6 @@ from .ingest import CleaningLog, load_dataset, weight_text
 from .metrics import MetricsReport, global_metrics
 
 EXPORT_FORMATS = ("gexf", "dot", "json")
-STAGES = ("centralities", "louvain", "gn", "report")
 
 GEXF_NS = "http://www.gexf.net/1.2draft"
 
@@ -235,14 +234,15 @@ def run_pipeline(
 
     The stages are "centralities", "louvain", "gn" (Girvan-Newman) and
     "report" (global metrics, correlation, top-k and the input digest; it
-    needs the first two). They run in one fixed order, whatever the order
-    given. Once ingest is done, rejected edge rows and unknown node kinds
-    go to stderr, one warning line each; then a graph too small for the
-    stages is refused before any of them runs (DegenerateGraphError or
-    UndefinedModularityError), and the stages do not check again. Last,
-    when the centralities are asked for, one line names the isolated nodes,
-    whose closeness is 0; the stages themselves write no warning but the
-    correlation's.
+    needs the first two). The caller passes a valid set, as each CLI command
+    does with its fixed tuple; it is not checked here. The stages run in one
+    fixed order, whatever the order given. Once ingest is done, rejected
+    edge rows and unknown node kinds go to stderr, one warning line each;
+    then a graph too small for the stages is refused before any of them
+    runs (DegenerateGraphError or UndefinedModularityError), and the stages
+    do not check again. Last, when the centralities are asked for, one line
+    names the isolated nodes, whose closeness is 0; the stages themselves
+    write no warning but the correlation's.
     Metrics and centralities read hop distances only; community detection
     reads every weight as 1 unless `weighted`, and when it is the only work
     the report's graph is that unit-weight copy. `top_k` (at least 1) and
@@ -256,8 +256,6 @@ def run_pipeline(
     sweep with its own type and text, so stderr and the exit code are those
     of a run in one process.
     """
-    if not set(stages) <= set(STAGES) or "report" in stages and not {"centralities", "louvain"} <= set(stages):
-        raise ValueError(f"stages {tuple(stages)}: each one of {STAGES}, and 'report' needs the first two")
     loaded, cleaning = load_dataset(edge_path, node_path, alias_path)
     if cleaning.rows_rejected:
         line_no, reason = cleaning.rows_rejected[0]
@@ -326,12 +324,8 @@ def run_pipeline(
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    g = report.graph
-    labels = g.labels
-    table = [
-        {"label": labels[v], **{m: report.vectors[m].scores[v] for m in MEASURES}}
-        for v in g.label_order
-    ]
+    labels = report.graph.labels
+    table = [{"label": label, **{m: report.vectors[m].scores[v] for m in MEASURES}} for v, label in enumerate(labels)]
     partition = report.dendrogram.final_partition
     payload = {
         "metrics": report.metrics._asdict(),
@@ -344,7 +338,7 @@ def report_to_json(report: AnalysisReport) -> str:
             "louvain_q": report.dendrogram.final_q,
             "q_per_level": list(report.dendrogram.q_per_level),
             "gn_best_q": report.gn_trace.best_q if report.gn_trace is not None else None,
-            "assignment": {labels[v]: partition.assignment[v] for v in range(g.node_count)},
+            "assignment": dict(zip(labels, partition.assignment)),
         },
         "correlation": {
             "measures": list(MEASURES),

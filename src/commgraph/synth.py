@@ -11,8 +11,6 @@ import random
 
 from .graph import Graph, NodeRecord, Partition, collapse_edges
 
-GENERATOR_KINDS = ("ring_of_cliques", "planted_partition")
-
 
 def _labels(n: int) -> list[str]:
     width = len(str(n - 1)) if n > 1 else 1

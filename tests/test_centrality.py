@@ -19,6 +19,7 @@ from commgraph.centrality import (
     rank_top_k,
 )
 from commgraph.graph import NodeRecord, collapse_edges
+from commgraph.ingest import load_dataset
 from conftest import make_graph, pagerank_iterates, sweep_of
 from oracles import (
     betweenness_by_enumeration,
@@ -233,8 +234,10 @@ def test_rank_top_k_basic():
     assert rank_top_k(vec, 1, make_graph(2, [])) == [("B", 0.7)]
 
 
-def test_rank_top_k_tie_breaks_by_label():
-    g, _, _ = collapse_edges([NodeRecord("B"), NodeRecord("A")], [(0, 1, None)])
+def test_rank_top_k_tie_breaks_by_label(tmp_path):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target\nB,A\n", encoding="utf-8")
+    g, _ = load_dataset(edges)
     assert rank_top_k(degree_centrality(g), 2, g) == [("A", 1.0), ("B", 1.0)]
 
 

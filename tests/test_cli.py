@@ -90,6 +90,26 @@ def test_synth_missing_params_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["--kind", "ring_of_cliques", "--cliques", "4", "--clique-size", "5", "--p-in", "0.5"],
+         "--kind ring_of_cliques does not take --p-in"),
+        (["--kind", "planted_partition", "--blocks", "2", "--block-size", "3", "--p-in", "0.5", "--p-out", "0.1",
+          "--cliques", "4", "--clique-size", "5"],
+         "--kind planted_partition does not take --cliques --clique-size"),
+    ],
+)
+def test_synth_flag_of_the_other_kind_exits_one(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", *argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: commgraph")
+    assert err.splitlines()[-1] == f"commgraph: error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["analyze", "--edges", "edges.csv", "--top-k", "abc"], "invalid int value: 'abc'"),
         (["synth", "--kind", "lattice"], "invalid choice: 'lattice'"),
     ],
@@ -181,8 +201,14 @@ def test_analyze_weighted_collab_sample_matches_committed_golden(tmp_path):
             for fmt in ("gexf", "dot", "json")
         ),
         (["communities", "--edges", str(SAMPLE / "edges.csv"), "--gn-out"], "gn_trace.csv"),
+        # labels whose case-folded order is not their code-point order: the rows follow the case-folded one
+        *(([command, "--edges", str(SAMPLE / "labels" / "edges.csv"), "--out"], f"labels/expected/{command}.csv")
+          for command in ("centrality", "communities")),
     ],
-    ids=["centrality", "communities", "export-gexf", "export-dot", "export-json", "communities-gn-out"],
+    ids=[
+        "centrality", "communities", "export-gexf", "export-dot", "export-json", "communities-gn-out",
+        "labels-centrality", "labels-communities",
+    ],
 )
 def test_every_subcommand_reproduces_the_committed_files(argv, golden, tmp_path):
     out = tmp_path / "out"

@@ -215,17 +215,6 @@ def test_partition_canonical_relabeling():
     assert Partition.from_assignment(p.assignment) == p
 
 
-def test_partition_rejects_gappy_ids():
-    with pytest.raises(ValueError):
-        Partition((0, 2), 3)
-
-
-def test_partition_rejects_non_canonical_ids():
-    # contiguous, but community 1 holds the smallest node
-    with pytest.raises(ValueError, match="first appearance"):
-        Partition((1, 0), 2)
-
-
 # ------------------------------------------------------- all-pairs sweep
 
 SAMPLE_EDGES = Path(__file__).resolve().parent.parent / "data" / "sample" / "edges.csv"

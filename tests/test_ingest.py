@@ -10,6 +10,8 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from commgraph.centrality import all_centralities, centrality_table_csv, pagerank
+from commgraph.community import louvain, partition_to_csv
 from commgraph.errors import IngestError
 from commgraph.ingest import (
     CleaningLog,
@@ -20,6 +22,7 @@ from commgraph.ingest import (
     parse_edge_csv,
     parse_node_csv,
 )
+from conftest import sweep_of
 from oracles import load_dataset_reference, parse_alias_csv_reference
 
 
@@ -269,6 +272,44 @@ def test_alias_resolution_matches_the_chain_walking_reference(tmp_path, rows):
             return str(exc)
 
     assert outcome(parse_alias_csv) == outcome(parse_alias_csv_reference)
+
+
+# letters whose case-folded order differs from their code-point order: ß/ẞ fold to "ss", İ to "i̇", ı stays,
+# Σ/σ/ς fold to σ, the Kelvin sign to "k", ﬃ to "ffi", and a combining acute sorts after every ASCII letter;
+# tab, no-break and ideographic spaces collapse to one space
+LABEL_TEXT = st.text("aAbsSßẞiIİıΣσςkK\u212aﬃf\u0301é \t\xa0\u3000", min_size=1, max_size=5)
+
+
+@hypothesis.settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@hypothesis.given(
+    edges=st.lists(st.tuples(LABEL_TEXT, LABEL_TEXT), min_size=1, max_size=12),
+    nodes=st.lists(LABEL_TEXT, max_size=6, unique_by=canonical_label),
+    aliases=st.lists(st.tuples(LABEL_TEXT, LABEL_TEXT), max_size=4, unique_by=lambda row: canonical_label(row[0])),
+)
+def test_node_ids_and_table_rows_are_in_label_order(tmp_path, edges, nodes, aliases):
+    e = write(tmp_path, "e.csv", "source,target\n" + "".join(f"{a},{b}\n" for a, b in edges))
+    n = write(tmp_path, "n.csv", "label\n" + "".join(f"{label}\n" for label in nodes))
+    a = write(tmp_path, "a.csv", "variant,canonical\n" + "".join(f"{v},{c}\n" for v, c in aliases))
+    try:
+        g, _ = load_dataset(e, n, a)
+    except IngestError:  # a blank node or alias label, an alias cycle, or a node label that is an alias
+        return
+    order = sorted(g.labels, key=lambda label: (label.casefold(), label))
+    assert list(g.labels) == order  # the per-node tables iterate ids, so this is their row order
+
+    def first_column(text):
+        return [row[0] for row in csv.reader(io.StringIO(text))][1:]
+
+    if g.node_count >= 2:
+        vectors = all_centralities(g, sweep_of(g), pagerank(g))
+        assert first_column(centrality_table_csv(g, vectors)) == order
+    if g.edge_count:
+        assert first_column(partition_to_csv(g, louvain(g).final_partition)) == order
 
 
 def test_a_20000_link_alias_chain_resolves_in_linear_time(tmp_path):

@@ -387,16 +387,6 @@ def test_pipeline_no_partial_outputs_on_bad_input(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stages", [("centrality",), ("report",), ("centralities", "report")])
-def test_pipeline_rejects_an_unknown_or_incomplete_stage_set_before_reading_input(stages, tmp_path, monkeypatch):
-    def fail(*args):
-        raise AssertionError("read the input")
-
-    monkeypatch.setattr("commgraph.report.load_dataset", fail)
-    with pytest.raises(ValueError, match="'report' needs the first two"):
-        run_pipeline(tmp_path / "edges.csv", stages=stages)
-
-
 def test_communities_writes_no_file_when_girvan_newman_fails(dataset, tmp_path, monkeypatch, capsys):
     def fail(g):
         raise CommGraphError("girvan-newman failed")

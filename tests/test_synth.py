@@ -29,6 +29,13 @@ def test_ring_parameter_bounds():
         gen_ring_of_cliques(3, 2)
 
 
+@pytest.mark.parametrize("cliques, clique_size", [(2, 5), (4, 3), (34, 3)])
+def test_node_ids_are_in_label_order(cliques, clique_size):
+    # 10, 12 and 102 nodes: the labels are zero-padded, so they sort as the ids do
+    g, _ = gen_ring_of_cliques(cliques, clique_size)
+    assert list(g.labels) == sorted(g.labels, key=lambda label: (label.casefold(), label))
+
+
 def test_planted_partition_degenerate_full():
     g, truth = gen_planted_partition(3, 4, 1.0, 0.0, seed=1)
     assert g.edge_count == 3 * 6  # three disjoint K4 blocks
