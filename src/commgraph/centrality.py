@@ -22,7 +22,6 @@ Conventions (all for undirected unweighted traversal, all normalized):
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import ConvergenceError
 from .graph import Graph, PathSweep, left_sum
@@ -35,28 +34,23 @@ PAGERANK_TOL = 1e-9
 PAGERANK_MAX_ITER = 200
 
 
-class CentralityVector(NamedTuple):
-    measure: str
-    scores: tuple[float, ...]
-
-
-def degree_centrality(g: Graph) -> CentralityVector:
+def degree_centrality(g: Graph) -> tuple[float, ...]:
     """deg(v)/(N-1) on a graph of at least 2 nodes."""
     n = g.node_count
-    return CentralityVector("degree", tuple(g.degree(v) / (n - 1) for v in range(n)))
+    return tuple(g.degree(v) / (n - 1) for v in range(n))
 
 
-def betweenness_centrality(g: Graph, sweep: PathSweep) -> CentralityVector:
+def betweenness_centrality(g: Graph, sweep: PathSweep) -> tuple[float, ...]:
     """Brandes single-source accumulation; never enumerates paths."""
     n = g.node_count
     denom = (n - 1) * (n - 2) / 2
     if denom <= 0:
-        return CentralityVector("betweenness", (0.0,) * n)
+        return (0.0,) * n
     # each unordered pair is counted from both endpoints
-    return CentralityVector("betweenness", tuple(x / 2 / denom for x in sweep.dependency))
+    return tuple(x / 2 / denom for x in sweep.dependency)
 
 
-def closeness_centrality(g: Graph, sweep: PathSweep) -> CentralityVector:
+def closeness_centrality(g: Graph, sweep: PathSweep) -> tuple[float, ...]:
     """Wasserman-Faust closeness; a node that reaches no other scores 0.
 
     It writes nothing: `report.run_pipeline` warns of the isolated nodes
@@ -64,15 +58,15 @@ def closeness_centrality(g: Graph, sweep: PathSweep) -> CentralityVector:
     """
     n = g.node_count
     pairs = zip(sweep.reach, sweep.distance_totals)
-    return CentralityVector("closeness", tuple((r / t) * (r / (n - 1)) if t else 0.0 for r, t in pairs))
+    return tuple((r / t) * (r / (n - 1)) if t else 0.0 for r, t in pairs)
 
 
-def harmonic_centrality(g: Graph, sweep: PathSweep) -> CentralityVector:
+def harmonic_centrality(g: Graph, sweep: PathSweep) -> tuple[float, ...]:
     n = g.node_count
-    return CentralityVector("harmonic", tuple(total / (n - 1) if n > 1 else total for total in sweep.harmonic))
+    return tuple(total / (n - 1) if n > 1 else total for total in sweep.harmonic)
 
 
-def pagerank(g: Graph, damping: float = 0.85) -> CentralityVector:
+def pagerank(g: Graph, damping: float = 0.85) -> tuple[float, ...]:
     """Damped random-walk fixed point, undirected edges as reciprocal links.
 
     Scores solve PR(v) = (1-d)/N + d * sum(PR(u)/deg(u)) and sum to 1;
@@ -94,22 +88,22 @@ def pagerank(g: Graph, damping: float = 0.85) -> CentralityVector:
         residual = left_sum(abs(a - b) for a, b in zip(nxt, ranks))
         ranks = nxt
         if residual < PAGERANK_TOL:
-            return CentralityVector("pagerank", tuple(ranks))
+            return tuple(ranks)
     raise ConvergenceError(
         f"pagerank did not reach tol={PAGERANK_TOL} within {PAGERANK_MAX_ITER} iterations", residual
     )
 
 
-def rank_top_k(vec: CentralityVector, k: int, g: Graph) -> list[tuple[str, float]]:
+def rank_top_k(scores: tuple[float, ...], k: int, g: Graph) -> list[tuple[str, float]]:
     """Top-k (label, score) of `g`'s nodes, descending score, ties by node id (label order); k is at least 1."""
-    order = sorted(range(g.node_count), key=lambda v: -vec.scores[v])  # a stable sort keeps id order on ties
-    return [(g.labels[v], vec.scores[v]) for v in order[:k]]
+    order = sorted(range(g.node_count), key=lambda v: -scores[v])  # a stable sort keeps id order on ties
+    return [(g.labels[v], scores[v]) for v in order[:k]]
 
 
-def all_centralities(g: Graph, sweep: PathSweep, ranks: CentralityVector) -> dict[str, CentralityVector]:
-    """All five normalized measures, keyed in canonical MEASURES order.
+def all_centralities(g: Graph, sweep: PathSweep, ranks: tuple[float, ...]) -> dict[str, tuple[float, ...]]:
+    """The five normalized measures' scores by node id, keyed in MEASURES order; every writer takes this dict.
 
-    `sweep` is `g`'s all-pairs sweep and `ranks` PageRank's vector:
+    `sweep` is `g`'s all-pairs sweep and `ranks` PageRank's scores:
     `run_pipeline` gets both from one `sweep_beside`, with `pagerank` run
     beside the sweep.
     """
@@ -122,9 +116,9 @@ def all_centralities(g: Graph, sweep: PathSweep, ranks: CentralityVector) -> dic
     }
 
 
-def centrality_table_csv(g: Graph, vectors: dict[str, CentralityVector]) -> str:
+def centrality_table_csv(g: Graph, vectors: dict[str, tuple[float, ...]]) -> str:
     """Per-node CSV, 6 significant digits, rows in node-id order (label order; see `Graph`)."""
     return csv_text(
         ["label", *MEASURES],
-        ([g.labels[v]] + [format(vectors[m].scores[v], ".6g") for m in MEASURES] for v in range(g.node_count)),
+        ([g.labels[v]] + [format(vectors[m][v], ".6g") for m in MEASURES] for v in range(g.node_count)),
     )

@@ -6,13 +6,13 @@ Exit codes: 0 success, 1 rejected/degenerate input or a bad flag, 2 internal err
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 from pathlib import Path
 
 from .centrality import centrality_table_csv
 from .community import gn_trace_to_csv, partition_to_csv
 from .errors import CommGraphError
+from .graph import collector_paused
 from .ingest import edges_to_csv
 from .report import EXPORT_FORMATS, export_graph, report_to_json, run_pipeline, write_outputs
 from .synth import gen_planted_partition, gen_ring_of_cliques
@@ -106,6 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     communities.add_argument("--out", help="partition CSV file (stdout when omitted)")
     communities.add_argument("--gn-out", help="also run Girvan-Newman and write its trace CSV to this file")
 
+    for command in sub.choices.values():  # `main`'s checks after parsing print the subcommand's usage line
+        command.set_defaults(error=command.error)
     return parser
 
 
@@ -146,8 +148,7 @@ def _cmd_synth(args) -> None:
 def _cmd_export(args) -> None:
     report = _run(args, *(["centralities", "louvain"] if args.with_analytics else []), weighted=args.weighted)
     partition = report.dendrogram.final_partition if report.dendrogram else None
-    scores = list(report.vectors.values()) if report.vectors else None
-    _write_or_print(export_graph(report.graph, partition, scores, args.format), args.out)
+    _write_or_print(export_graph(report.graph, partition, report.vectors, args.format), args.out)
 
 
 def _cmd_centrality(args) -> None:
@@ -179,35 +180,33 @@ def main(argv=None) -> int:
     counting frees the program's objects: a run leaves a few hundred cyclic
     ones, while the collector, left on, would pass over the graph's tuples
     hundreds of times (463 passes while ingesting a 20,000-node collab
-    input). The library functions keep whatever setting their caller chose.
+    input). A library caller keeps its own setting, except within each of
+    `graph.block_pool`'s blocks, which run without the collector too.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # argparse's `parse_args` would report them with the root parser's usage line
+        args.error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command == "analyze" and args.export and args.out is None:
-        parser.error("analyze --export needs --out")  # the report would go to stdout and the exports nowhere
+        args.error("--export needs --out")  # the report would go to stdout and the exports nowhere
     if args.command == "synth":
         needed = _SYNTH_PARAMS[args.kind]
         flags = [name for names in _SYNTH_PARAMS.values() for name in names]
         given = [name for name in flags if getattr(args, name.replace("-", "_")) is not None]
         missing = [name for name in needed if name not in given]
         if missing:
-            parser.error(f"--kind {args.kind} requires --{' --'.join(missing)}")
+            args.error(f"--kind {args.kind} requires --{' --'.join(missing)}")
         foreign = [name for name in given if name not in needed]
         if foreign:  # it would be silently ignored
-            parser.error(f"--kind {args.kind} does not take --{' --'.join(foreign)}")
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        _COMMANDS[args.command](args)
-    except (CommGraphError, OSError, ValueError) as exc:
-        print(f"commgraph: error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"commgraph: internal error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if collecting:
-            gc.enable()
+            args.error(f"--kind {args.kind} does not take --{' --'.join(foreign)}")
+    with collector_paused():
+        try:
+            _COMMANDS[args.command](args)
+        except (CommGraphError, OSError, ValueError) as exc:
+            print(f"commgraph: error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # pragma: no cover - defensive
+            print(f"commgraph: internal error: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

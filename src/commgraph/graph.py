@@ -320,6 +320,18 @@ def sweep_beside(adjacency, tasks) -> tuple[PathSweep, list]:
 
 
 @contextlib.contextmanager
+def collector_paused():
+    """Run the `with` body without the cyclic garbage collector, then restore the caller's setting, even on error."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@contextlib.contextmanager
 def block_pool(adjacency, kernel, task: str):
     """Yield `run_round(blocks, removed=())`: `kernel(adjacency, block)` for each of `blocks`, in rounds.
 
@@ -341,11 +353,13 @@ def block_pool(adjacency, kernel, task: str):
     another running thread (forking then is unsafe) or a platform without
     `os.fork` keep every round in this process, on `adjacency` itself.
 
-    Workers run without the cyclic garbage collector. A kernel makes lists
-    by the thousand per source, which would set the collector off about
-    once per source, and none of them is part of a cycle: reference
-    counting frees them all. A worker exits when the pool ends. This
-    process keeps its collector as it was.
+    Every block runs without the cyclic garbage collector, in a worker or
+    in this process. A kernel makes lists by the thousand per source, which
+    would set the collector off about once per source, and none of them is
+    part of a cycle: reference counting frees them all. A worker exits when
+    the pool ends. In this process the collector is paused for each block
+    alone (`collector_paused`), so the caller's setting holds between blocks
+    and is restored even when a kernel raises.
 
     A kernel's CommGraphError crosses the pipe: its worker sends the error
     as the block's result, and the round raises it, with its own type and
@@ -361,7 +375,8 @@ def block_pool(adjacency, kernel, task: str):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, -(-len(adjacency) // SWEEP_BLOCK))
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield lambda blocks, removed=(): (kernel(adjacency, block) for block in blocks)
+        paused = collector_paused()(kernel)  # `contextmanager` objects also decorate, entering afresh per call
+        yield lambda blocks, removed=(): (paused(adjacency, block) for block in blocks)
         return
     readers = []
     rounds: list[int] = []  # this process's write ends of the workers' round pipes

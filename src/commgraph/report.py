@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .centrality import MEASURES, CentralityVector, all_centralities, centrality_table_csv, pagerank, rank_top_k
+from .centrality import MEASURES, all_centralities, centrality_table_csv, pagerank, rank_top_k
 from .community import Dendrogram, GNTrace, girvan_newman, gn_trace_to_csv, louvain, partition_to_csv
 from .errors import DegenerateGraphError, UndefinedModularityError, warn
 from .graph import Graph, Partition, left_sum, sweep_beside
@@ -60,13 +60,13 @@ def _ranks(values) -> list[float]:
     return ranks
 
 
-def pearson_correlation_matrix(vectors: list[CentralityVector], spearman: bool = False):
-    """Symmetric correlation matrix over vectors of one length; zero-variance pairs yield None entries.
+def pearson_correlation_matrix(vectors: dict[str, tuple[float, ...]], spearman: bool = False):
+    """Symmetric correlation matrix over the values of `vectors`, in key order; zero-variance pairs yield None entries.
 
     With `spearman` it is Pearson's over average ranks. The null pairs off
     the diagonal make one stderr warning naming their count and the first.
     """
-    data = [list(v.scores) for v in vectors]
+    names, data = list(vectors), list(vectors.values())
     if spearman:
         data = [_ranks(col) for col in data]
     k = len(data)
@@ -76,7 +76,7 @@ def pearson_correlation_matrix(vectors: list[CentralityVector], spearman: bool =
         for j in range(i, k):
             r = _pearson(data[i], data[j])
             if r is None and i < j:  # a null diagonal only repeats its row's pairs
-                nulls.append(f"{vectors[i].measure}/{vectors[j].measure}")
+                nulls.append(f"{names[i]}/{names[j]}")
             matrix[i][j] = r
             matrix[j][i] = r
     if nulls:
@@ -97,8 +97,8 @@ def _node_rows(g: Graph, partition: Partition | None, scores):
         if partition is not None:
             row["community"] = partition.assignment[v]
         if scores:
-            for vec in scores:
-                row[vec.measure] = vec.scores[v]
+            for measure, values in scores.items():
+                row[measure] = values[v]
         yield v, row
 
 
@@ -124,7 +124,7 @@ def export_gexf(g: Graph, partition: Partition | None = None, scores=None) -> st
     if partition is not None:
         attrs.append(("community", "long"))
     if scores:
-        attrs += [(vec.measure, "double") for vec in scores]
+        attrs += [(measure, "double") for measure in scores]
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<gexf xmlns="{GEXF_NS}" version="1.2">',
@@ -182,7 +182,7 @@ def export_graph_json(g: Graph, partition: Partition | None = None, scores=None)
 
 
 def export_graph(g: Graph, partition: Partition | None = None, scores=None, fmt: str = "gexf") -> str:
-    """`g` in `fmt`, one of EXPORT_FORMATS (the CLI parser accepts no other)."""
+    """`g` in `fmt`, one of EXPORT_FORMATS (the CLI parser accepts no other); `scores` as `all_centralities` gives it."""
     if fmt == "gexf":
         return export_gexf(g, partition, scores)
     if fmt == "dot":
@@ -198,7 +198,7 @@ class AnalysisReport(NamedTuple):
 
     graph: Graph
     cleaning: CleaningLog
-    vectors: dict[str, CentralityVector] | None  # "centralities"
+    vectors: dict[str, tuple[float, ...]] | None  # "centralities", from `all_centralities`
     dendrogram: Dendrogram | None  # "louvain"
     gn_trace: GNTrace | None  # "gn"
     metrics: MetricsReport | None  # "report", with the three fields below
@@ -299,7 +299,7 @@ def run_pipeline(
     else:
         dendrogram = louvain(communities) if "louvain" in stages else None
     gn_trace = girvan_newman(communities) if "gn" in stages else None
-    correlation = pearson_correlation_matrix([vectors[m] for m in MEASURES], spearman) if reporting else None
+    correlation = pearson_correlation_matrix(vectors, spearman) if reporting else None
     rankings = {m: rank_top_k(vectors[m], top_k, loaded) for m in MEASURES} if reporting else None
 
     return AnalysisReport(
@@ -325,7 +325,7 @@ def run_pipeline(
 
 def report_to_json(report: AnalysisReport) -> str:
     labels = report.graph.labels
-    table = [{"label": label, **{m: report.vectors[m].scores[v] for m in MEASURES}} for v, label in enumerate(labels)]
+    table = [{"label": label, **{m: report.vectors[m][v] for m in MEASURES}} for v, label in enumerate(labels)]
     partition = report.dendrogram.final_partition
     payload = {
         "metrics": report.metrics._asdict(),
@@ -370,6 +370,5 @@ def write_outputs(report: AnalysisReport, out_dir, exports=()) -> None:
     emit("communities.csv", partition_to_csv(g, partition))
     if report.gn_trace is not None:
         emit("gn_trace.csv", gn_trace_to_csv(g.labels, report.gn_trace))
-    score_list = [report.vectors[m] for m in MEASURES]
     for fmt in exports:
-        emit(f"graph.{fmt}", export_graph(g, partition, score_list, fmt))
+        emit(f"graph.{fmt}", export_graph(g, partition, report.vectors, fmt))

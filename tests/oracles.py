@@ -567,9 +567,9 @@ def export_gexf_reference(g: Graph, partition: Partition | None = None, scores=N
     if partition is not None:
         attrs.append("community")
     if scores:
-        for vec in scores:
-            attrs.append(vec.measure)
-            types[vec.measure] = "double"
+        for measure in scores:
+            attrs.append(measure)
+            types[measure] = "double"
     attr_el = ET.SubElement(graph_el, "attributes", {"class": "node"})
     ids = {}
     for i, name in enumerate(attrs):
@@ -580,8 +580,8 @@ def export_gexf_reference(g: Graph, partition: Partition | None = None, scores=N
         row = {"kind": rec.kind, "location": rec.location}
         if partition is not None:
             row["community"] = partition.assignment[v]
-        for vec in scores or ():
-            row[vec.measure] = vec.scores[v]
+        for measure, values in (scores or {}).items():
+            row[measure] = values[v]
         node_el = ET.SubElement(nodes_el, "node", {"id": str(v), "label": rec.label})
         values_el = ET.SubElement(node_el, "attvalues")
         for name in attrs:

@@ -8,7 +8,6 @@ from commgraph.cli import build_parser
 from commgraph.errors import ConvergenceError
 from commgraph.centrality import (
     MEASURES,
-    CentralityVector,
     all_centralities,
     betweenness_centrality,
     centrality_table_csv,
@@ -45,18 +44,18 @@ def test_degree_normalization_convention():
 
 
 def test_degree_triangle_all_one(triangle):
-    assert degree_centrality(triangle).scores == (1.0, 1.0, 1.0)
+    assert degree_centrality(triangle) == (1.0, 1.0, 1.0)
 
 
 def test_degree_star_leaves(star4):
     # degrees 3, 1, 1, 1 over N - 1 = 3
-    assert degree_centrality(star4).scores == (1.0, 1 / 3, 1 / 3, 1 / 3)
+    assert degree_centrality(star4) == (1.0, 1 / 3, 1 / 3, 1 / 3)
 
 
 def test_degree_raw_counts(star4):
     # the normalized score times N - 1 gives back the edge counts
     n = len(star4.labels)
-    raw = tuple(round(s * (n - 1)) for s in degree_centrality(star4).scores)
+    raw = tuple(round(s * (n - 1)) for s in degree_centrality(star4))
     assert raw == (3, 1, 1, 1)
 
 
@@ -65,15 +64,15 @@ def test_degree_raw_counts(star4):
 
 def test_betweenness_path_middle(path3):
     vec = betweenness_centrality(path3, sweep_of(path3))
-    assert vec.scores == (0.0, 1.0, 0.0)
+    assert vec == (0.0, 1.0, 0.0)
 
 
 def test_betweenness_triangle_zero(triangle):
-    assert betweenness_centrality(triangle, sweep_of(triangle)).scores == (0.0, 0.0, 0.0)
+    assert betweenness_centrality(triangle, sweep_of(triangle)) == (0.0, 0.0, 0.0)
 
 
 def test_betweenness_star_center(star4):
-    assert betweenness_centrality(star4, sweep_of(star4)).scores == (1.0, 0.0, 0.0, 0.0)
+    assert betweenness_centrality(star4, sweep_of(star4)) == (1.0, 0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------- closeness
@@ -82,26 +81,26 @@ def test_betweenness_star_center(star4):
 def test_closeness_path(path3):
     # distance sums 3, 2, 3, each node reaching both others
     vec = closeness_centrality(path3, sweep_of(path3))
-    assert vec.scores == (pytest.approx(2 / 3), 1.0, pytest.approx(2 / 3))
+    assert vec == (pytest.approx(2 / 3), 1.0, pytest.approx(2 / 3))
 
 
 def test_closeness_complete_graph():
     g = complete_graph(5)
     vec = closeness_centrality(g, sweep_of(g))
-    assert all(s == 1.0 for s in vec.scores)
+    assert all(s == 1.0 for s in vec)
 
 
 def test_closeness_raw_is_inverse_distance_sum(path3):
     # the normalized score over N - 1 is 1 / (sum of distances)
     n = len(path3.labels)
-    raw = tuple(s / (n - 1) for s in closeness_centrality(path3, sweep_of(path3)).scores)
+    raw = tuple(s / (n - 1) for s in closeness_centrality(path3, sweep_of(path3)))
     assert raw == (pytest.approx(1 / 3), 0.5, pytest.approx(1 / 3))
 
 
 def test_closeness_isolated_node_zero_with_warning(capsys):
     g = make_graph(3, [(0, 1)])
     vec = closeness_centrality(g, sweep_of(g))
-    assert vec.scores[2] == 0.0
+    assert vec[2] == 0.0
     # the warning is the pipeline's (test_cli); the function itself writes nothing
     assert capsys.readouterr().err == ""
 
@@ -111,17 +110,17 @@ def test_closeness_isolated_node_zero_with_warning(capsys):
 
 def test_harmonic_path_end(path3):
     vec = harmonic_centrality(path3, sweep_of(path3))
-    assert vec.scores[0] == pytest.approx(1.5 / 2)
+    assert vec[0] == pytest.approx(1.5 / 2)
 
 
 def test_harmonic_complete_graph():
     g = complete_graph(4)
-    assert all(s == 1.0 for s in harmonic_centrality(g, sweep_of(g)).scores)
+    assert all(s == 1.0 for s in harmonic_centrality(g, sweep_of(g)))
 
 
 def test_harmonic_two_disjoint_edges():
     g = make_graph(4, [(0, 1), (2, 3)])
-    assert all(s == pytest.approx(1 / 3) for s in harmonic_centrality(g, sweep_of(g)).scores)
+    assert all(s == pytest.approx(1 / 3) for s in harmonic_centrality(g, sweep_of(g)))
 
 
 # -------------------------------------------------------------- pagerank
@@ -130,19 +129,19 @@ def test_harmonic_two_disjoint_edges():
 def test_pagerank_cycle_uniform():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     vec = pagerank(g)
-    assert all(abs(s - 0.25) < 1e-12 for s in vec.scores)
+    assert all(abs(s - 0.25) < 1e-12 for s in vec)
 
 
 def test_pagerank_k2_symmetric():
     g = make_graph(2, [(0, 1)])
-    assert pagerank(g).scores == pytest.approx((0.5, 0.5))
+    assert pagerank(g) == pytest.approx((0.5, 0.5))
 
 
 def test_pagerank_star_fixed_point(star4):
     vec = pagerank(star4)
-    assert vec.scores[0] == pytest.approx(0.47973, abs=1e-4)
+    assert vec[0] == pytest.approx(0.47973, abs=1e-4)
     for leaf in (1, 2, 3):
-        assert vec.scores[leaf] == pytest.approx(0.17342, abs=1e-4)
+        assert vec[leaf] == pytest.approx(0.17342, abs=1e-4)
 
 
 def test_pagerank_sums_to_one_every_iteration(star4):
@@ -153,8 +152,8 @@ def test_pagerank_sums_to_one_every_iteration(star4):
 def test_pagerank_handles_isolated_nodes():
     g = make_graph(3, [(0, 1)])
     vec = pagerank(g)
-    assert abs(sum(vec.scores) - 1.0) < 1e-9
-    assert all(0 < s < 1 for s in vec.scores)
+    assert abs(sum(vec) - 1.0) < 1e-9
+    assert all(0 < s < 1 for s in vec)
 
 
 def test_pagerank_bad_damping_rejected(capsys):
@@ -185,19 +184,19 @@ def test_all_measures_match_oracles_on_random_graphs():
     for _ in range(60):
         g = random_graph(rng)
         n = g.node_count
-        deg = degree_centrality(g).scores
+        deg = degree_centrality(g)
         assert deg == tuple(g.degree(v) / (n - 1) for v in range(n))
         sweep = sweep_of(g)
-        bet = betweenness_centrality(g, sweep).scores
+        bet = betweenness_centrality(g, sweep)
         for got, want in zip(bet, betweenness_by_enumeration(g)):
             assert abs(got - want) <= 1e-9
-        clo = closeness_centrality(g, sweep).scores
+        clo = closeness_centrality(g, sweep)
         for got, want in zip(clo, closeness_from_distances(g)):
             assert abs(got - want) <= 1e-9
-        har = harmonic_centrality(g, sweep).scores
+        har = harmonic_centrality(g, sweep)
         for got, want in zip(har, harmonic_from_distances(g)):
             assert abs(got - want) <= 1e-9
-        pr = pagerank(g).scores
+        pr = pagerank(g)
         for got, want in zip(pr, pagerank_power_iteration(g)):
             assert abs(got - want) <= 1e-9
 
@@ -216,22 +215,21 @@ def test_label_invariance_under_relabeling():
         for measure, vec in all_centralities(g, sweep_of(g), pagerank(g)).items():
             vec2 = all_centralities(g2, sweep_of(g2), pagerank(g2))[measure]
             for old in range(n):
-                assert vec.scores[old] == pytest.approx(vec2.scores[perm[old]], abs=1e-12)
+                assert vec[old] == pytest.approx(vec2[perm[old]], abs=1e-12)
 
 
 def test_vertex_transitive_graphs_are_constant():
     cycle6 = make_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     for g in (cycle6, complete_graph(5)):
         for vec in all_centralities(g, sweep_of(g), pagerank(g)).values():
-            assert max(vec.scores) - min(vec.scores) < 1e-12
+            assert max(vec) - min(vec) < 1e-12
 
 
 # ------------------------------------------------------------- rankings
 
 
 def test_rank_top_k_basic():
-    vec = CentralityVector("degree", (0.3, 0.7))
-    assert rank_top_k(vec, 1, make_graph(2, [])) == [("B", 0.7)]
+    assert rank_top_k((0.3, 0.7), 1, make_graph(2, [])) == [("B", 0.7)]
 
 
 def test_rank_top_k_tie_breaks_by_label(tmp_path):
@@ -242,8 +240,7 @@ def test_rank_top_k_tie_breaks_by_label(tmp_path):
 
 
 def test_rank_top_k_clamps_to_n():
-    vec = CentralityVector("degree", (1.0, 2.0, 3.0))
-    out = rank_top_k(vec, 5, make_graph(3, []))
+    out = rank_top_k((1.0, 2.0, 3.0), 5, make_graph(3, []))
     assert out == [("C", 3.0), ("B", 2.0), ("A", 1.0)]
 
 

@@ -62,6 +62,8 @@ def test_bad_flag_exits_one_before_reading_input(argv, flag, monkeypatch, tmp_pa
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith(f"usage: commgraph {argv[0]} [-h]")
+    assert captured.err.splitlines()[-1].startswith(f"commgraph {argv[0]}: error: ")
     assert flag in captured.err.splitlines()[-1]
     assert list(tmp_path.iterdir()) == []
 
@@ -82,8 +84,8 @@ def test_synth_missing_params_exits_one(tmp_path, capsys):
         main(["synth", "--kind", "ring_of_cliques", "--cliques", "4", "--out", str(tmp_path / "out")])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: commgraph")
-    assert "--kind ring_of_cliques requires --clique-size" in err
+    assert err.startswith("usage: commgraph synth [-h]")
+    assert err.splitlines()[-1] == "commgraph synth: error: --kind ring_of_cliques requires --clique-size"
     assert not (tmp_path / "out").exists()
 
 
@@ -102,8 +104,8 @@ def test_synth_flag_of_the_other_kind_exits_one(argv, message, tmp_path, capsys)
         main(["synth", *argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: commgraph")
-    assert err.splitlines()[-1] == f"commgraph: error: {message}"
+    assert err.startswith("usage: commgraph synth [-h]")
+    assert err.splitlines()[-1] == f"commgraph synth: error: {message}"
     assert not (tmp_path / "out").exists()
 
 
@@ -119,7 +121,7 @@ def test_usage_error_exits_one(argv, message, capsys):
         main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: commgraph")
+    assert err.startswith(f"usage: commgraph {argv[0]} [-h]")
     assert message in err
 
 

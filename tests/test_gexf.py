@@ -6,7 +6,7 @@ and serializes it. Drawn node records put in their labels, kinds and
 locations the characters that attribute escaping treats specially (& < > "
 and CR, LF, tab), quotes it leaves alone, and non-ASCII text; kinds,
 locations and external scores are sometimes None. Graphs have 0 to 6
-nodes, with and without a partition and the five score vectors.
+nodes, with and without a partition and the five measures' scores.
 Hypothesis is in the `test` extra only; without it this module skips.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from commgraph.centrality import MEASURES, CentralityVector
+from commgraph.centrality import MEASURES
 from commgraph.graph import NodeRecord, Partition, collapse_edges
 from commgraph.report import export_gexf
 from oracles import export_gexf_reference
@@ -44,7 +44,7 @@ def gexf_inputs(draw):
     scores = draw(
         st.none()
         | st.tuples(*(st.lists(st.floats(), min_size=n, max_size=n) for _ in MEASURES)).map(
-            lambda columns: [CentralityVector(m, tuple(c)) for m, c in zip(MEASURES, columns)]
+            lambda columns: {m: tuple(c) for m, c in zip(MEASURES, columns)}
         )
     )
     return g, partition, scores

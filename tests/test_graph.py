@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import os
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import commgraph.community as community_module
 import commgraph.graph as graph_module
 from commgraph.cli import main
+from commgraph.community import girvan_newman
 from commgraph.errors import ConvergenceError
 from commgraph.graph import (
     SWEEP_BLOCK,
@@ -287,8 +290,8 @@ def test_pool_workers_run_without_the_cyclic_collector(cpus, count, enabled):
         after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
-    # forked workers switch it off; on one CPU the blocks run here, under this process's setting
-    assert states == [enabled and count == 1] * 4
+    # forked workers switch it off; on one CPU the blocks run here, each with it paused
+    assert states == [False] * 4
     assert after is enabled
 
 
@@ -363,6 +366,57 @@ def test_a_stage_error_in_a_later_block_crosses_the_pool_as_raised(cpus, monkeyp
     assert (type(exc.value), str(exc.value), exc.value.residual) == (ConvergenceError, "block 2 did not converge", 0.25)
     assert got == [0, 1]
     assert len(forks) == (2 if count == 2 else 0)
+
+
+@pytest.mark.parametrize("run", ["sweep", "Girvan-Newman", "raising kernel"])
+def test_no_collection_starts_inside_a_block_run_in_this_process(cpus, monkeypatch, run):
+    # a library caller that leaves the collector on; a low threshold makes every kernel's lists set it off
+    pool = graph_module.block_pool
+    inside = []
+    collections = []  # per collection, whether it started while a kernel ran
+
+    @contextlib.contextmanager
+    def watched_pool(adjacency, kernel, task):
+        def watched(adjacency, block):
+            inside.append(block)
+            try:
+                return kernel(adjacency, block)
+            finally:
+                inside.pop()
+
+        with pool(adjacency, watched, task) as run_round:
+            yield run_round
+
+    def hook(phase, info):
+        if phase == "start":
+            collections.append(bool(inside))
+
+    monkeypatch.setattr(graph_module, "block_pool", watched_pool)
+    monkeypatch.setattr(community_module, "block_pool", watched_pool)
+    cpus(1)
+    g = gen_planted_partition(2, 20, 0.3, 0.05, seed=2)[0] if run == "Girvan-Newman" else SWEEP_GRAPHS["planted partition"]()
+    was, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(10)
+    gc.callbacks.append(hook)
+    try:
+        if run == "sweep":
+            sweep_beside(g.neighbor_ids, ())
+        elif run == "Girvan-Newman":
+            girvan_newman(g)  # 40 nodes: its first recompute and its tail are rounds of the pool
+        else:
+            with pytest.raises(ConvergenceError):
+                with graph_module.block_pool(g.neighbor_ids, converging_but_block_2, "convergence probe") as run_round:
+                    list(run_round(range(4)))
+        after = gc.isenabled()
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*thresholds)
+        (gc.enable if was else gc.disable)()
+    assert True not in collections
+    if run != "raising kernel":
+        assert False in collections  # between blocks the caller's setting holds
+    assert after is True
 
 
 def test_a_failing_worker_makes_main_exit_2(cpus, monkeypatch, capsys):

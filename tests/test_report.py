@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from commgraph.centrality import MEASURES, CentralityVector, all_centralities, pagerank
+from commgraph.centrality import MEASURES, all_centralities, pagerank
 from commgraph.cli import build_parser, main
 from commgraph.community import louvain
 from commgraph.errors import CommGraphError, ConvergenceError
@@ -36,25 +36,21 @@ from oracles import export_gexf_reference
 SAMPLE_COLLAB = Path(__file__).resolve().parent.parent / "data" / "sample" / "collab"
 
 
-def vec(*scores):
-    return CentralityVector("degree", tuple(scores))
-
-
 # ------------------------------------------------------------ correlation
 
 
 def test_correlation_with_itself_is_one():
-    m = pearson_correlation_matrix([vec(0.1, 0.4, 0.9)])
+    m = pearson_correlation_matrix({"degree": (0.1, 0.4, 0.9)})
     assert m == [[pytest.approx(1.0)]]
 
 
 def test_correlation_with_negation_is_minus_one():
-    m = pearson_correlation_matrix([vec(0.1, 0.4, 0.9), vec(0.9, 0.6, 0.1)])
+    m = pearson_correlation_matrix({"degree": (0.1, 0.4, 0.9), "harmonic": (0.9, 0.6, 0.1)})
     assert m[0][1] == pytest.approx(-1.0)
 
 
 def test_correlation_zero_variance_is_null(capsys):
-    m = pearson_correlation_matrix([vec(0.1, 0.4), vec(0.5, 0.5)])
+    m = pearson_correlation_matrix({"degree": (0.1, 0.4), "harmonic": (0.5, 0.5)})
     assert m[0][1] is None
     assert m[1][1] is None
     assert m[0][0] == pytest.approx(1.0)
@@ -62,27 +58,26 @@ def test_correlation_zero_variance_is_null(capsys):
 
 
 def test_correlation_warns_only_off_diagonal(capsys):
-    m = pearson_correlation_matrix([vec(0.1, 0.4), vec(0.5, 0.5), vec(0.2, 0.2)])
+    m = pearson_correlation_matrix({"degree": (0.1, 0.4), "closeness": (0.5, 0.5), "harmonic": (0.2, 0.2)})
     assert m[1][1] is None and m[2][2] is None
-    # one line for pairs (0, 1), (0, 2) and (1, 2); never the constant vectors' self-pairs
+    # one line for pairs (0, 1), (0, 2) and (1, 2), the first named by its keys; never the constant vectors' self-pairs
     assert capsys.readouterr().err == (
-        "commgraph: warning: zero variance in 3 correlation pairs, reported as null (first: degree/degree)\n"
+        "commgraph: warning: zero variance in 3 correlation pairs, reported as null (first: degree/closeness)\n"
     )
 
 
 def test_spearman_is_rank_based():
     # monotone but non-linear relation: spearman 1.0, pearson below
-    a = vec(0.0, 0.1, 0.2, 0.3, 0.4)
-    b = vec(0.0, 0.001, 0.01, 0.1, 1.0)
-    pearson = pearson_correlation_matrix([a, b])[0][1]
-    spearman = pearson_correlation_matrix([a, b], spearman=True)[0][1]
+    vectors = {"degree": (0.0, 0.1, 0.2, 0.3, 0.4), "harmonic": (0.0, 0.001, 0.01, 0.1, 1.0)}
+    pearson = pearson_correlation_matrix(vectors)[0][1]
+    spearman = pearson_correlation_matrix(vectors, spearman=True)[0][1]
     assert spearman == pytest.approx(1.0)
     assert pearson < 0.99
 
 
 def test_correlation_symmetric_exactly():
     g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-    vectors = list(all_centralities(g, sweep_of(g), pagerank(g)).values())
+    vectors = all_centralities(g, sweep_of(g), pagerank(g))
     m = pearson_correlation_matrix(vectors)
     for i in range(5):
         assert m[i][i] == pytest.approx(1.0)
@@ -121,7 +116,7 @@ def test_gexf_single_community(triangle):
 
 
 def test_gexf_each_node_and_edge_once(barbell):
-    scores = list(all_centralities(barbell, sweep_of(barbell), pagerank(barbell)).values())
+    scores = all_centralities(barbell, sweep_of(barbell), pagerank(barbell))
     text = export_gexf(barbell, louvain(barbell).final_partition, scores)
     root = ET.fromstring(text)
     node_ids = [n.get("id") for n in root.findall(f".//{{{GEXF_NS}}}node")]
@@ -178,7 +173,7 @@ def test_gexf_of_a_collab_shaped_graph_matches_the_element_tree_reference(tmp_pa
     g, _ = load_dataset(files["edges"], files["nodes"], files["aliases"])
     assert g.node_count == 2000 and g.edge_count > 7000
     rng = random.Random(17)
-    scores = [CentralityVector(m, tuple(rng.random() for _ in range(g.node_count))) for m in MEASURES]
+    scores = {m: tuple(rng.random() for _ in range(g.node_count)) for m in MEASURES}
     partition = louvain(g).final_partition
     for args in ((), (partition,), (partition, scores)):
         assert export_gexf(g, *args) == export_gexf_reference(g, *args)
@@ -255,11 +250,11 @@ def test_a_collab_shaped_graph_with_non_dyadic_weights_reads_back(tmp_path):
     g, _ = load_dataset(files["edges"], files["nodes"], files["aliases"])
     assert sum(float(format(w, "g")) != w for _, _, w in g.edges()) > 1000
     partition = louvain(g).final_partition
-    vectors = [CentralityVector(m, tuple(rng.random() / 3 for _ in range(g.node_count))) for m in MEASURES]
+    vectors = {m: tuple(rng.random() / 3 for _ in range(g.node_count)) for m in MEASURES}
     for fmt in ("gexf", "dot", "json"):
         (tmp_path / f"graph.{fmt}").write_text(export_graph(g, partition, vectors, fmt), encoding="utf-8")
     communities = {g.labels[v]: c for v, c in enumerate(partition.assignment)}
-    scores = {g.labels[v]: {vec.measure: vec.scores[v] for vec in vectors} for v in range(g.node_count)}
+    scores = {g.labels[v]: {m: values[v] for m, values in vectors.items()} for v in range(g.node_count)}
     assert_exports_read_back(tmp_path, g, communities, scores)
 
 
