@@ -218,7 +218,9 @@ def louvain(g: Graph) -> Dendrogram:
         if levels and not moved:  # the level would repeat the last one
             break
         local = Partition.from_assignment(assignment)
-        projected = Partition.from_assignment([local.assignment[node_map[v]] for v in range(g.node_count)])
+        node_map = [local.assignment[s] for s in node_map]
+        # super-node ids follow each one's smallest original node, so this is already canonical
+        projected = Partition(tuple(node_map), local.community_count)
         q = _modularity_kernel(original, projected.assignment)
         if levels and q - qs[-1] < _GAIN_EPS:
             break
@@ -227,7 +229,6 @@ def louvain(g: Graph) -> Dendrogram:
         if not moved:
             break
         agg = aggregate_graph(agg, local)
-        node_map = [local.assignment[s] for s in node_map]
     return Dendrogram(tuple(levels), tuple(qs))
 
 

@@ -25,7 +25,6 @@ import math
 import re
 from collections.abc import Iterator
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import IngestError
 from .graph import Graph, Memo, NodeRecord, collapse_edges
@@ -47,15 +46,6 @@ def canonical_label(label: str) -> str:
 def display_label(label: str) -> str:
     """Trim and collapse internal whitespace, keeping the original case."""
     return " ".join(label.split())
-
-
-class RawEdgeRow(NamedTuple):
-    """One accepted edge row: display labels as written, weight None when blank."""
-
-    source_label: str
-    target_label: str
-    weight: float | None
-    line_no: int
 
 
 class CleaningLog:
@@ -150,14 +140,18 @@ def _rows(path, text: str, marked: bool) -> Iterator[tuple[int, list[str], str |
         raise IngestError(f"{path}: line {row_no + 1}: {exc}") from None
 
 
-def parse_edge_csv(path) -> tuple[list[RawEdgeRow], CleaningLog]:
-    """Read an edge list; every data row becomes a RawEdgeRow or a rejection."""
+def parse_edge_csv(path) -> tuple[list[tuple[str, str, float | None, int]], CleaningLog]:
+    """Read an edge list; every data row becomes a row or a rejection.
+
+    A row is (source, target, weight, line_no): display labels as written,
+    weight None when blank.
+    """
     header, rows = _read_table(path, _EDGE)
     width = len(header)
     has_weight = width == 3
 
     log = CleaningLog()
-    out: list[RawEdgeRow] = []
+    out = []
     labels = Memo(display_label)  # endpoints repeat: normalize each distinct string once
     for line_no, fields, err in rows:
         if err is not None:
@@ -184,7 +178,7 @@ def parse_edge_csv(path) -> tuple[list[RawEdgeRow], CleaningLog]:
             if not math.isfinite(weight) or weight <= 0:
                 log.rows_rejected.append((line_no, f"weight must be positive, got {fields[2].strip()!r}"))
                 continue
-        out.append(RawEdgeRow(source, target, weight, line_no))
+        out.append((source, target, weight, line_no))
     return out, log
 
 
@@ -330,21 +324,21 @@ def load_dataset(edge_path, node_path=None, alias_path=None) -> tuple[Graph, Cle
     heaviest = max(weights, default=0.0)
     if heaviest == math.inf:  # some pair's sum overflowed: add the rows up again to find the one that tipped it
         totals: dict[frozenset[int], float] = {}
-        for row in edge_rows:
-            pair = frozenset((ids[row.source_label], ids[row.target_label]))
+        for source, target, weight, line_no in edge_rows:
+            pair = frozenset((ids[source], ids[target]))
             if len(pair) == 2:
-                totals[pair] = totals.get(pair, 0.0) + (1.0 if row.weight is None else row.weight)
+                totals[pair] = totals.get(pair, 0.0) + (1.0 if weight is None else weight)
                 if totals[pair] == math.inf:
                     raise IngestError(
-                        f"{edge_path}: line {row.line_no}: weight {row.weight!r} makes the collapsed weight of "
-                        f"{row.source_label!r} and {row.target_label!r} overflow"
+                        f"{edge_path}: line {line_no}: weight {weight!r} makes the collapsed weight of "
+                        f"{source!r} and {target!r} overflow"
                     )
     if weights and heaviest / min(weights) > MAX_WEIGHT_RATIO:
         u, v, lightest = min(graph.edges(), key=lambda edge: edge[2])
-        row = next(r for r in edge_rows if {ids[r.source_label], ids[r.target_label]} == {u, v})
+        source, target, _, line_no = next(r for r in edge_rows if {ids[r[0]], ids[r[1]]} == {u, v})
         raise IngestError(
-            f"{edge_path}: line {row.line_no}: the collapsed weight {lightest!r} of {row.source_label!r} and "
-            f"{row.target_label!r} is more than 2**500 times smaller than the largest, {heaviest!r}"
+            f"{edge_path}: line {line_no}: the collapsed weight {lightest!r} of {source!r} and "
+            f"{target!r} is more than 2**500 times smaller than the largest, {heaviest!r}"
         )
     log.labels_merged = sorted(merged)
     return graph, log

@@ -176,6 +176,7 @@ def test_louvain_levels_are_coarsenings():
         if g.edge_count == 0:
             continue
         dend = louvain(g)
+        assert all(level == Partition.from_assignment(level.assignment) for level in dend.levels)
         for fine, coarse in zip(dend.levels, dend.levels[1:]):
             mapping = {}
             for node in range(g.node_count):

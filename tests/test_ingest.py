@@ -35,7 +35,7 @@ def write(tmp_path, name, text):
 def test_parse_edge_csv_plain(tmp_path):
     p = write(tmp_path, "e.csv", "source,target\nA,B\nB,C\n")
     rows, log = parse_edge_csv(p)
-    assert [(r.source_label, r.target_label, r.weight) for r in rows] == [("A", "B", None), ("B", "C", None)]
+    assert [(s, t, w) for s, t, w, _ in rows] == [("A", "B", None), ("B", "C", None)]
     assert log.rows_rejected == []
 
 
@@ -49,7 +49,7 @@ def test_parse_edge_csv_rejects_empty_target(tmp_path):
 def test_parse_edge_csv_rejects_bad_weights(tmp_path):
     p = write(tmp_path, "e.csv", "source,target,weight\nA,B,-1\nA,C,abc\nA,D,2.5\n")
     rows, log = parse_edge_csv(p)
-    assert [(r.source_label, r.weight) for r in rows] == [("A", 2.5)]
+    assert [(s, w) for s, _, w, _ in rows] == [("A", 2.5)]
     assert [ln for ln, _ in log.rows_rejected] == [2, 3]
 
 
@@ -86,7 +86,7 @@ def test_byte_order_mark_accepted_with_invalid_utf8_rows(tmp_path):
     p = tmp_path / "e.csv"
     p.write_bytes(b"\xef\xbb\xbfsource,target\nA,B\n\xff\xfe,bad\n")
     rows, log = parse_edge_csv(p)
-    assert [(r.source_label, r.target_label) for r in rows] == [("A", "B")]
+    assert [(s, t) for s, t, _, _ in rows] == [("A", "B")]
     assert log.rows_rejected == [(3, "invalid UTF-8")]
 
 
@@ -415,7 +415,7 @@ def test_every_line_ending_is_accepted(tmp_path, eol):
     p = tmp_path / "e.csv"
     p.write_bytes(eol.join(["source,target", "A,B", '"C', 'D",E', ""]).encode())
     rows, log = parse_edge_csv(p)
-    assert [(r.source_label, r.target_label, r.line_no) for r in rows] == [("A", "B", 2), ("C D", "E", 3)]
+    assert [(s, t, line_no) for s, t, _, line_no in rows] == [("A", "B", 2), ("C D", "E", 3)]
     assert log.rows_rejected == []
 
 
@@ -432,7 +432,7 @@ def test_nul_row_is_rejected_on_every_python(tmp_path):
     p = tmp_path / "e.csv"
     p.write_bytes(b'source,target\nA,B\x00\n"B\nC",D\nC,E\n')
     rows, log = parse_edge_csv(p)
-    assert [(r.source_label, r.target_label) for r in rows] == [("B C", "D"), ("C", "E")]
+    assert [(s, t) for s, t, _, _ in rows] == [("B C", "D"), ("C", "E")]
     assert log.rows_rejected == [(2, "NUL byte")]
 
 
@@ -441,7 +441,7 @@ def test_invalid_utf8_row_leaves_quoted_newlines_intact(tmp_path):
     p = tmp_path / "e.csv"
     p.write_bytes(b'source,target\nA,B\n"C\nD",E\n\xff,x\n"F\xff\nG",H\n')
     rows, log = parse_edge_csv(p)
-    assert [(r.source_label, r.target_label, r.line_no) for r in rows] == [("A", "B", 2), ("C D", "E", 3)]
+    assert [(s, t, line_no) for s, t, _, line_no in rows] == [("A", "B", 2), ("C D", "E", 3)]
     assert log.rows_rejected == [(4, "invalid UTF-8"), (5, "invalid UTF-8")]
 
 
@@ -473,7 +473,7 @@ def test_row_with_a_character_xml_cannot_carry_is_rejected(tmp_path, char):
     p = tmp_path / "e.csv"
     p.write_bytes(f'source,target\nA{char}x,B\n"C\nD",E\nF,G\x1c\tH\n'.encode())
     rows, log = parse_edge_csv(p)
-    assert [(r.source_label, r.target_label, r.line_no) for r in rows] == [("C D", "E", 3), ("F", "G H", 4)]
+    assert [(s, t, line_no) for s, t, _, line_no in rows] == [("C D", "E", 3), ("F", "G H", 4)]
     assert log.rows_rejected == [(2, f"control character U+{ord(char):04X}")]
 
 
